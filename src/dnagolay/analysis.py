@@ -8,9 +8,7 @@ seed recorded in its report.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -204,24 +202,17 @@ def monte_carlo_decode(
     grid: list[ChannelSpec],
     trials: int,
     chunk_bases: int = DEFAULT_CHUNK_BASES,
-    workers: int = 1,
 ) -> list[MonteCarloRow]:
     """Encode once, then corrupt and decode ``trials`` times per channel
     setting. Per-trial generators derive from (spec seed, trial index),
-    and results reduce in trial order, so the table is reproducible
-    regardless of worker count.
+    so the table is reproducible.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     records = encode_file(fd, codebook, chunk_bases)
     rows = []
     for spec in grid:
-        runner = partial(_run_trial, records, fd.content, codebook, spec)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(runner, range(trials)))
-        else:
-            outcomes = [runner(t) for t in range(trials)]
+        outcomes = [_run_trial(records, fd.content, codebook, spec, t) for t in range(trials)]
         acc = sum(o[0] for o in outcomes) / trials
         par = sum(o[1] for o in outcomes) / trials
         exact = sum(o[2] for o in outcomes) / trials

@@ -253,11 +253,15 @@ def encode_file(
     )
 
 
-def _wrap(sequences: bytes, lengths: np.ndarray) -> list[str]:
-    """Each record's sequence as FASTA lines: a newline after every 80
-    bases and at the end. Each run of records of one length wraps as one
-    matrix; the records of a file, in any order, make at most three runs."""
-    data = np.frombuffer(sequences, dtype=np.uint8)
+def _wrap(parts: list[str], lengths: np.ndarray) -> list[str]:
+    """Each record's sequence, given as its two consecutive ``parts``, as
+    FASTA lines: a newline after every 80 bases and at the end. The
+    records are taken in order of length, so that each distinct length
+    wraps as one matrix whatever the order of the records."""
+    order = np.argsort(lengths, kind="stable")
+    picks = np.stack((2 * order, 2 * order + 1), axis=1).ravel().tolist()
+    data = np.frombuffer("".join(map(parts.__getitem__, picks)).encode("ascii"), dtype=np.uint8)
+    lengths = lengths[order]
     bodies: list[str] = []
     runs = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
     offset = 0
@@ -274,7 +278,7 @@ def _wrap(sequences: bytes, lengths: np.ndarray) -> list[str]:
             wrapped[:, col + line : col + line + piece.shape[1]] = piece
         text = wrapped.tobytes().decode("ascii")
         bodies += [text[i * width : (i + 1) * width] for i in range(count)]
-    return bodies
+    return list(map(bodies.__getitem__, np.argsort(order).tolist()))
 
 
 def emit_fasta(records: list[ChunkRecord]) -> str:
@@ -288,7 +292,7 @@ def emit_fasta(records: list[ChunkRecord]) -> str:
         f">f{rec.file_id}_c{rec.chunk_index} len={length}\n"
         for rec, length in zip(records, lengths.tolist())
     ]
-    bodies = _wrap("".join(parts).encode("ascii"), lengths)
+    bodies = _wrap(parts, lengths)
     return "".join(chain.from_iterable(zip(titles, bodies)))
 
 

@@ -221,9 +221,7 @@ def _cmd_simulate(args) -> int:
         grid = [ChannelSpec.parse(item, args.seed) for item in args.grid.split(";")]
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    rows = monte_carlo_decode(
-        fd, codebook, grid, args.trials, args.chunk_bases, workers=args.threads
-    )
+    rows = monte_carlo_decode(fd, codebook, grid, args.trials, args.chunk_bases)
     header = f"{'channel':>12} {'trials':>7} {'byte_acc':>9} {'parity_fail':>11} {'file_exact':>10}"
     print(header)
     for row in rows:
@@ -340,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--trials", type=int, default=10)
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--file-id", type=int, default=0, dest="file_id")
-    sim.add_argument("--threads", type=int, default=1, help="worker cap for trials")
     sim.add_argument("--csv", default=None, help="also write the table as CSV")
     _add_chunk_flag(sim)
     _add_codebook_flag(sim)

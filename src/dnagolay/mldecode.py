@@ -12,10 +12,20 @@ window, with unreadable positions scored as mismatches. If candidates
 remain tied after both layers the decode is flagged ambiguous and the
 smallest byte value is returned.
 
+One kernel, :func:`_batched_min_stats`, decodes blocks of windows for
+streams, chunks and the audit. A codeword's image after base c is its
+image after 'A' shifted by c (mod 4), and a window's trit reading does
+not change under that shift, so the kernel shifts each window into
+context 'A' and needs one image table. :func:`decode_codeword_ml` is
+its scalar reference.
+
 Chunks decode sequentially: each corrected window's final base is the
 rotation context for the next window, and the last corrected payload
-base of chunk k-1 seeds chunk k. When a predecessor chunk is missing,
-the decoder tries all four contexts and keeps the cheapest.
+base of chunk k-1 seeds chunk k. A stream decodes every window under
+its received context, then re-decodes the windows whose corrected
+predecessor ends in another base until none does; that fixed point is
+the sequential result. When a predecessor chunk is missing, the decoder
+tries all four contexts and keeps the cheapest.
 """
 
 from __future__ import annotations
@@ -35,11 +45,13 @@ from .chunks import (
     decode_headers,
 )
 from .codebook import CODE_SIZE, CODEWORD_LENGTH, ByteCodebook
-from .ternary import DNA_ALPHABET
+from .ternary import DNA_ALPHABET, parse_dna
 from .transcode import (
     BASE_INDEX,
     DEFAULT_PREV_BASE,
+    codes_to_dna,
     decode_codes,
+    decode_rows,
     dna_codes,
     encode_rows,
     read_trits_best_effort,
@@ -126,30 +138,43 @@ class DecodeResult:
 
 
 _MISS = np.uint16(0xFFFF)
+_GROUP = 4  # bases per table index: one 4x4x4x4x256 table per group of columns
+_BLOCK = 512  # windows per kernel block; each (rows, 256) temporary is 128 KiB
+
+
+def _group_tables(rows: np.ndarray) -> list[np.ndarray]:
+    """Per group of up to ``_GROUP`` columns of the (256, 11) ``rows``, one
+    table indexed by the group's values: the mismatch count with each row."""
+    tables = []
+    for lo in range(0, CODEWORD_LENGTH, _GROUP):
+        cols = rows[:, lo : lo + _GROUP].T
+        keys = np.indices((4,) * len(cols))
+        tables.append(sum(k[..., None] != col for k, col in zip(keys, cols)).astype(np.uint8))
+    return tables
+
+
+def _table_distances(windows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
+    """(windows, 256) Hamming distances of rows of values 0..3 to the rows
+    the tables were built from, one lookup per group of columns."""
+    return sum(
+        table[tuple(windows[:, lo : lo + _GROUP].T)]
+        for lo, table in zip(range(0, CODEWORD_LENGTH, _GROUP), tables)
+    )
 
 
 class CandidateImages:
-    """Per-context DNA images of all 256 codewords, cached per codebook.
+    """The codeword trits and their DNA images in context 'A', cached per
+    codebook, with the distance tables of the batched kernel.
 
     Also carries a base-3 lookup table over all 3^11 trit windows so
     that uncorrupted payload streams decode in bulk numpy passes.
     """
 
     def __init__(self, codebook: ByteCodebook):
-        self.codebook = codebook
-        words = codebook.as_array()
-        self.words = words
-        self.arrays: dict[str, np.ndarray] = {}
-        self.strings: dict[str, tuple[str, ...]] = {}
-        for base in DNA_ALPHABET:
-            codes = encode_rows(words, BASE_INDEX[base])
-            self.arrays[base] = codes
-            chars = np.frombuffer(DNA_ALPHABET.encode(), dtype=np.uint8)[codes]
-            text = chars.tobytes().decode("ascii")
-            self.strings[base] = tuple(
-                text[i : i + CODEWORD_LENGTH]
-                for i in range(0, len(text), CODEWORD_LENGTH)
-            )
+        self.words = codebook.as_array()
+        self.images = encode_rows(self.words, 0)
+        self.image_tables = _group_tables(self.images)
+        self.word_tables = _group_tables(self.words)
         self.lut = np.full(3**CODEWORD_LENGTH, _MISS, dtype=np.uint16)
         for value, word in enumerate(codebook.codewords):
             self.lut[int(word, 3)] = value
@@ -160,16 +185,6 @@ def candidate_images(codebook: ByteCodebook) -> CandidateImages:
     return CandidateImages(codebook)
 
 
-def _tiebreak_distances(
-    reading: list[int | None], word_rows: np.ndarray
-) -> np.ndarray:
-    """Trit distance of each candidate codeword to a best-effort reading."""
-    readable = np.array([v is not None for v in reading])
-    values = np.array([0 if v is None else v for v in reading], dtype=np.uint8)
-    mismatches = (word_rows != values) | ~readable
-    return mismatches.sum(axis=1)
-
-
 def decode_codeword_ml(
     window: str,
     prev_base: str,
@@ -178,37 +193,66 @@ def decode_codeword_ml(
     """Maximum-likelihood decode of one received window.
 
     Total function: always returns the best candidate; decode quality is
-    conveyed through the distances and the ambiguous flag.
+    conveyed through the distances and the ambiguous flag. This is the
+    scalar reference of :func:`_batched_min_stats`: it encodes the
+    candidate images in the given context rather than shifting them.
     """
     if len(window) != CODEWORD_LENGTH:
         raise ValueError(
             f"window must have length {CODEWORD_LENGTH}, got {len(window)}"
         )
-    images = candidate_images(codebook)
-    dists = (images.arrays[prev_base] != dna_codes(window)).sum(axis=1)
+    words = candidate_images(codebook).words
+    images = encode_rows(words, BASE_INDEX[prev_base])
+    dists = (images != dna_codes(window)).sum(axis=1)
     best = int(dists.min())
     tied = np.flatnonzero(dists == best)
 
-    reading = read_trits_best_effort(window, prev_base)
-    words = images.words
-    if len(tied) == 1:
-        value = int(tied[0])
-        trit_dist = int(_tiebreak_distances(reading, words[value : value + 1])[0])
-        ambiguous = False
-    else:
-        trit_dists = _tiebreak_distances(reading, words[tied])
-        best_trit = int(trit_dists.min())
-        finalists = tied[np.flatnonzero(trit_dists == best_trit)]
-        value = int(finalists[0])
-        trit_dist = best_trit
-        ambiguous = len(finalists) > 1
+    # an unreadable position mismatches every candidate
+    reading = [3 if v is None else v for v in read_trits_best_effort(window, prev_base)]
+    trit_dists = (words[tied] != np.array(reading)).sum(axis=1)
+    best_trit = int(trit_dists.min())
+    finalists = tied[trit_dists == best_trit]
     return DecodedCodeword(
-        byte_value=value,
+        byte_value=int(finalists[0]),
         dna_distance=best,
-        trit_distance=trit_dist,
-        ambiguous=ambiguous,
-        corrected_window=images.strings[prev_base][value],
+        trit_distance=best_trit,
+        ambiguous=len(finalists) > 1,
+        corrected_window=codes_to_dna(images[finalists[0]]),
     )
+
+
+def _batched_min_stats(
+    windows: np.ndarray, contexts: np.ndarray | int, images: CandidateImages
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Two-layer ML decode of rows of base codes, each received after its
+    context base code: (byte values, DNA distances, ambiguous flags).
+
+    Each row is shifted into context 'A'. Only the rows tied on DNA
+    distance take the trit layer, inside the same block.
+    """
+    n = len(windows)
+    contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
+    values = np.empty(n, dtype=np.uint8)
+    distances = np.empty(n, dtype=np.uint8)
+    ambiguous = np.zeros(n, dtype=bool)
+    for start in range(0, n, _BLOCK):
+        stop = min(n, start + _BLOCK)
+        shifted = (windows[start:stop] - contexts[start:stop, None]) & 3
+        dist = _table_distances(shifted, images.image_tables)
+        best = dist.min(axis=1)
+        tied = dist == best[:, None]
+        arg = tied.argmax(axis=1)
+        rows = np.flatnonzero(tied.sum(axis=1) > 1)
+        if rows.size:
+            # an unreadable position reads as 3, which matches no trit
+            trit_dist = _table_distances(decode_rows(shifted[rows], 0), images.word_tables)
+            trit_dist[~tied[rows]] = CODEWORD_LENGTH + 1
+            finalists = trit_dist == trit_dist.min(axis=1)[:, None]
+            arg[rows] = finalists.argmax(axis=1)
+            ambiguous[start + rows] = finalists.sum(axis=1) > 1
+        values[start:stop] = arg
+        distances[start:stop] = best
+    return values, distances, ambiguous
 
 
 def _decode_stream(
@@ -222,13 +266,16 @@ def _decode_stream(
     An undamaged stream reads back through the trit lookup table in a
     few array passes; since every window then equals a codeword image
     under its received context, the corrected stream is the received
-    stream and no per-window work remains. Otherwise a repair loop walks
-    the windows, accepting precomputed table hits only while the
-    received context base still matches the corrected one, and running
-    the full candidate scan everywhere else.
+    stream. Otherwise the kernel decodes the windows the table missed,
+    each under its received context. A window's context is the last base
+    of its corrected predecessor, so each further round re-decodes the
+    windows whose predecessor changed that base, until none does. Window
+    k's context is final after at most k+1 rounds, so the result is the
+    sequential window-by-window decode.
     """
     n = len(payload) // CODEWORD_LENGTH
-    trits = decode_codes(dna_codes(payload), BASE_INDEX[prev_base])
+    codes = dna_codes(payload)
+    trits = decode_codes(codes, BASE_INDEX[prev_base])
     mat = trits.reshape(n, CODEWORD_LENGTH)
     keys = np.zeros(n, dtype=np.int32)
     unreadable = np.zeros(n, dtype=bool)
@@ -239,29 +286,30 @@ def _decode_stream(
     keys[unreadable] = 0  # keeps the lookup in range; these windows miss
     values = images.lut[keys]
     values[unreadable] = _MISS
-    if not (values == _MISS).any():
+    todo = np.flatnonzero(values == _MISS)
+    if not todo.size:
         return bytearray(values.astype(np.uint8).tobytes()), None, [], payload[-1]
 
-    out = bytearray(n)
-    distances = [0] * n
-    ambiguous: list[int] = []
-    ctx = prev_base
-    vals = values.tolist()
-    codebook = images.codebook
-    for k in range(n):
-        lo = k * CODEWORD_LENGTH
-        value = vals[k]
-        if value != 0xFFFF and ctx == (payload[lo - 1] if k else prev_base):
-            out[k] = value
-            ctx = payload[lo + CODEWORD_LENGTH - 1]
-            continue
-        decoded = decode_codeword_ml(payload[lo : lo + CODEWORD_LENGTH], ctx, codebook)
-        out[k] = decoded.byte_value
-        distances[k] = decoded.dna_distance
-        if decoded.ambiguous:
-            ambiguous.append(k)
-        ctx = decoded.corrected_window[-1]
-    return out, distances, ambiguous, ctx
+    parse_dna(payload)  # the kernel's shift would read any other symbol as a base
+    windows = codes.reshape(n, CODEWORD_LENGTH)
+    contexts = np.insert(windows[:-1, -1], 0, BASE_INDEX[prev_base])
+    values = values.astype(np.uint8)
+    distances = np.zeros(n, dtype=np.uint8)
+    ambiguous = np.zeros(n, dtype=bool)
+    last = images.images[:, -1]
+    while todo.size:
+        values[todo], distances[todo], ambiguous[todo] = _batched_min_stats(
+            windows[todo], contexts[todo], images
+        )
+        ends = (last[values[todo]] + contexts[todo]) & 3
+        if todo[-1] == n - 1:
+            todo, ends = todo[:-1], ends[:-1]
+        changed = contexts[todo + 1] != ends
+        todo = todo[changed] + 1
+        contexts[todo] = ends[changed]
+    final = DNA_ALPHABET[(last[values[-1]] + contexts[-1]) & 3]
+    ambiguous = np.flatnonzero(ambiguous).tolist()
+    return bytearray(values.tobytes()), distances.tolist(), ambiguous, final
 
 
 def _decode_run(
@@ -269,25 +317,13 @@ def _decode_run(
 ) -> tuple[bytearray, list[int] | None, list[int], str]:
     """:func:`_decode_stream` over the payloads of consecutive chunks.
 
-    With ``prev_base`` None the first chunk tries all four contexts and
-    keeps the one with the lowest total distance; the rest of the run
-    continues from its last corrected base.
+    With ``prev_base`` None the run starts from the context under which
+    the first chunk decodes with the lowest total distance.
     """
-    if prev_base is not None:
-        return _decode_stream("".join(payloads), prev_base, images)
-    outcomes = [_decode_stream(payloads[0], base, images) for base in DNA_ALPHABET]
-    data, distances, ambiguous, last = min(
-        outcomes, key=lambda oc: sum(oc[1]) if oc[1] else 0
-    )
-    if len(payloads) == 1:
-        return data, distances, ambiguous, last
-    more, more_distances, more_ambiguous, last = _decode_stream(
-        "".join(payloads[1:]), last, images
-    )
-    if distances is not None or more_distances is not None:
-        distances = (distances or [0] * len(data)) + (more_distances or [0] * len(more))
-    ambiguous += [len(data) + w for w in more_ambiguous]
-    return data + more, distances, ambiguous, last
+    if prev_base is None:
+        costs = [sum(_decode_stream(payloads[0], b, images)[1] or ()) for b in DNA_ALPHABET]
+        prev_base = DNA_ALPHABET[costs.index(min(costs))]
+    return _decode_stream("".join(payloads), prev_base, images)
 
 
 def decode_chunk(
@@ -469,26 +505,6 @@ class AuditResult:
         return self.unique_correct / self.cases if self.cases else 1.0
 
 
-def _batched_min_stats(windows: np.ndarray, images: np.ndarray):
-    """For each window row: (min distance, argmin, count at min)."""
-    n = len(windows)
-    best = np.empty(n, dtype=np.uint8)
-    arg = np.empty(n, dtype=np.int64)
-    ties = np.empty(n, dtype=np.int64)
-    block = max(1, 2**24 // (images.shape[0] * images.shape[1]))
-    for start in range(0, n, block):
-        stop = min(n, start + block)
-        d = (
-            (windows[start:stop, None, :] != images[None, :, :])
-            .sum(axis=2, dtype=np.uint8)
-        )
-        b = d.min(axis=1)
-        best[start:stop] = b
-        arg[start:stop] = d.argmin(axis=1)
-        ties[start:stop] = (d == b[:, None]).sum(axis=1)
-    return best, arg, ties
-
-
 def _substitution_patterns(positions: int, flips: int) -> np.ndarray:
     """All (position, offset) combinations for the requested flip count.
 
@@ -515,33 +531,21 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     return the original.
     """
     patterns = _substitution_patterns(CODEWORD_LENGTH, flips)
-    images_cache = candidate_images(codebook)
+    images = candidate_images(codebook)
+    truth = np.repeat(np.arange(CODE_SIZE), len(patterns))
+    rows = np.arange(len(truth))
     cases = unique_correct = ambiguous = miscorrected = 0
-    for base in DNA_ALPHABET:
-        images = images_cache.arrays[base]
-        windows = np.repeat(images, len(patterns), axis=0)
-        truth = np.repeat(np.arange(CODE_SIZE), len(patterns))
+    for context in range(len(DNA_ALPHABET)):
+        windows = np.repeat(encode_rows(images.words, context), len(patterns), axis=0)
         for f in range(flips):
             pos = np.tile(patterns[:, 2 * f], CODE_SIZE)
             off = np.tile(patterns[:, 2 * f + 1], CODE_SIZE)
-            rows = np.arange(len(windows))
             windows[rows, pos] = (windows[rows, pos] + off) & 3
-        best, arg, ties = _batched_min_stats(windows, images)
+        values, _, flagged = _batched_min_stats(windows, context, images)
         cases += len(windows)
-        clean = ties == 1
-        unique_correct += int(((arg == truth) & clean).sum())
-        miscorrected_mask = (arg != truth) & clean
-        # tied windows need the exact two-layer rule; rare, so per-window
-        for row in np.flatnonzero(~clean):
-            window = "".join(DNA_ALPHABET[c] for c in windows[row])
-            decoded = decode_codeword_ml(window, base, codebook)
-            if decoded.ambiguous:
-                ambiguous += 1
-            elif decoded.byte_value == int(truth[row]):
-                unique_correct += 1
-            else:
-                miscorrected += 1
-        miscorrected += int(miscorrected_mask.sum())
+        unique_correct += int(((values == truth) & ~flagged).sum())
+        ambiguous += int(flagged.sum())
+        miscorrected += int(((values != truth) & ~flagged).sum())
     return AuditResult(
         cases=cases,
         unique_correct=unique_correct,
@@ -551,13 +555,12 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
 
 
 def minimum_image_distance(codebook: ByteCodebook) -> int:
-    """Smallest pairwise DNA distance between codeword images, over all
-    four contexts."""
-    images_cache = candidate_images(codebook)
-    overall = CODEWORD_LENGTH + 1
-    for base in DNA_ALPHABET:
-        images = images_cache.arrays[base]
-        d = (images[:, None, :] != images[None, :, :]).sum(axis=2)
-        np.fill_diagonal(d, CODEWORD_LENGTH + 1)
-        overall = min(overall, int(d.min()))
-    return overall
+    """Smallest pairwise DNA distance between codeword images.
+
+    Shifting every image by the context base keeps pairwise distances,
+    so context 'A' stands for all four.
+    """
+    images = candidate_images(codebook)
+    d = _table_distances(images.images, images.image_tables)
+    np.fill_diagonal(d, CODEWORD_LENGTH + 1)
+    return int(d.min())

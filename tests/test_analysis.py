@@ -129,13 +129,6 @@ def test_monte_carlo_is_deterministic(codebook):
     assert [row.to_dict() for row in a] == [row.to_dict() for row in b]
 
 
-def test_monte_carlo_worker_count_does_not_change_results(codebook):
-    grid = [ChannelSpec.fixed_count(2, seed=29)]
-    serial = monte_carlo_decode(GRID_FD, codebook, grid, trials=6, workers=1)
-    threaded = monte_carlo_decode(GRID_FD, codebook, grid, trials=6, workers=4)
-    assert [row.to_dict() for row in serial] == [row.to_dict() for row in threaded]
-
-
 def test_monte_carlo_heavy_corruption_degrades(codebook):
     rows = monte_carlo_decode(
         GRID_FD, codebook, [ChannelSpec.fixed_count(5, seed=99)], trials=10

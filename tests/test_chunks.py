@@ -247,6 +247,16 @@ def test_fasta_wraps_at_80_columns(codebook):
     assert [r.sequence for r in parse_fasta(text)] == [r.sequence for r in records]
 
 
+def test_fasta_interleaved_lengths_emit_like_single_records(codebook):
+    """Records of two files with different header widths, alternating,
+    come out exactly as each record emitted on its own."""
+    small = encode_file(FileDescriptor(content=bytes(30), extension=""), codebook)
+    large = encode_file(FileDescriptor(content=bytes(300), extension="", file_id=1), codebook)
+    assert small[0].mu != large[0].mu
+    mixed = [rec for pair in zip(small, large) for rec in pair] + large[len(small) :]
+    assert emit_fasta(mixed) == "".join(emit_fasta([rec]) for rec in mixed)
+
+
 def test_fasta_empty():
     assert emit_fasta([]) == ""
     assert parse_fasta("") == []

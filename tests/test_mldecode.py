@@ -15,6 +15,7 @@ from dnagolay.chunks import (
 from dnagolay.mldecode import (
     DuplicateChunkError,
     DecodeError,
+    _batched_min_stats,
     _substitution_patterns,
     audit_substitutions,
     candidate_images,
@@ -25,7 +26,7 @@ from dnagolay.mldecode import (
     split_payload_stream,
 )
 from dnagolay.ternary import dna_hamming
-from dnagolay.transcode import trits_to_dna
+from dnagolay.transcode import dna_codes, trits_to_dna
 
 
 def corrupt(window, *flips):
@@ -62,15 +63,15 @@ def test_decode_window_length_check(codebook):
 
 def test_decode_distance_invariant(codebook):
     rng = random.Random(4)
-    images = candidate_images(codebook)
     for _ in range(50):
         window = "".join(rng.choice("ACGT") for _ in range(11))
         prev = rng.choice("ACGT")
         decoded = decode_codeword_ml(window, prev, codebook)
-        assert decoded.corrected_window == images.strings[prev][decoded.byte_value]
+        expected = trits_to_dna(codebook.codewords[decoded.byte_value], prev)
+        assert decoded.corrected_window == expected
         assert decoded.dna_distance == dna_hamming(window, decoded.corrected_window)
         others = (
-            dna_hamming(window, img) for img in images.strings[prev]
+            dna_hamming(window, trits_to_dna(word, prev)) for word in codebook.codewords
         )
         assert decoded.dna_distance == min(others)
 
@@ -93,17 +94,42 @@ def test_minimum_image_distance_supports_single_flip_correction(codebook):
 
 def test_single_substitutions_sampled(codebook):
     rng = random.Random(9)
-    images = candidate_images(codebook)
     for _ in range(300):
         value = rng.randrange(256)
         prev = rng.choice("ACGT")
-        img = images.strings[prev][value]
+        img = trits_to_dna(codebook.codewords[value], prev)
         pos = rng.randrange(11)
         base = rng.choice([b for b in "ACGT" if b != img[pos]])
         decoded = decode_codeword_ml(corrupt(img, (pos, base)), prev, codebook)
         assert decoded.byte_value == value
         assert decoded.dna_distance == 1
         assert not decoded.ambiguous
+
+
+def test_kernel_matches_scalar_decoder(codebook):
+    """The batched kernel, which shifts every window into context 'A',
+    agrees with the scalar decoder, which encodes the images in the
+    window's own context."""
+    rng = random.Random(12)
+    windows, contexts, expected = [], [], []
+    for _ in range(3000):
+        # mostly near a codeword image, so that ties and both layers occur
+        value, prev = rng.randrange(256), rng.choice("ACGT")
+        window = list(trits_to_dna(codebook.codewords[value], prev))
+        for pos in rng.sample(range(11), rng.choice((0, 1, 2, 2, 3, 11))):
+            window[pos] = rng.choice("ACGT")
+        window = "".join(window)
+        decoded = decode_codeword_ml(window, prev, codebook)
+        windows.append(dna_codes(window))
+        contexts.append("ACGT".index(prev))
+        expected.append((decoded.byte_value, decoded.dna_distance, decoded.ambiguous))
+    values, distances, ambiguous = _batched_min_stats(
+        np.array(windows), np.array(contexts, dtype=np.uint8), candidate_images(codebook)
+    )
+    got = list(zip(values.tolist(), distances.tolist(), ambiguous.tolist()))
+    assert got == expected
+    assert sum(amb for _, _, amb in expected) > 50
+    assert set(contexts) == {0, 1, 2, 3}
 
 
 def test_substitution_pattern_counts():
@@ -138,6 +164,13 @@ def test_decode_chunk_rejects_partial_payload(codebook):
     record = ChunkRecord(payload_dna="ACGT", header_dna="CGTA")
     with pytest.raises(DecodeError):
         decode_chunk(record, codebook)
+
+
+def test_decode_chunk_rejects_non_dna_symbol(codebook):
+    record = encode_file(FileDescriptor(content=b"hello", extension=""), codebook)[0]
+    damaged = ChunkRecord(payload_dna="N" + record.payload_dna[1:], header_dna=record.header_dna)
+    with pytest.raises(ValueError, match="'N'"):
+        decode_chunk(damaged, codebook)
 
 
 # --- trailer split ----------------------------------------------------------------
@@ -263,35 +296,61 @@ def test_decode_result_report_is_json_ready(codebook):
     assert parsed["fully_recovered"] is True
     assert parsed["chunks"][0]["parity_ok"] is True
 
+    fd = FileDescriptor(content=bytes(range(60)), extension="bin")
+    noisy = corrupt_records(
+        encode_file(fd, codebook), ChannelSpec.parse("count:2"), np.random.default_rng(3)
+    )
+    parsed = json.loads(json.dumps(decode_file(noisy, codebook).to_dict()))
+    assert any(any(chunk["codeword_distances"]) for chunk in parsed["chunks"])
+
 
 def test_stream_decode_matches_per_window_reference(codebook):
-    """The bulk path and the window-by-window rule must agree under corruption."""
+    """The bulk path and the window-by-window rule must agree under
+    corruption, from every starting context; heavy noise makes long
+    chains of context repairs."""
     rng = random.Random(31)
-    images = candidate_images(codebook)
     fd = FileDescriptor(content=bytes(rng.randrange(256) for _ in range(45)), extension="")
     record = encode_file(fd, codebook, chunk_bases=99)[0]
-    payload = list(record.payload_dna)
-    for _ in range(6):
-        pos = rng.randrange(len(payload))
-        payload[pos] = rng.choice([b for b in "ACGT" if b != payload[pos]])
-    corrupted = "".join(payload)
+    clean = record.payload_dna
 
-    data, report, _ = decode_chunk(
-        ChunkRecord(payload_dna=corrupted, header_dna=record.header_dna),
-        codebook,
-        "A",
-    )
-    # reference: straight chained per-window ML decoding
-    ctx = "A"
-    expected = bytearray()
-    expected_distances = []
-    for lo in range(0, len(corrupted), 11):
-        decoded = decode_codeword_ml(corrupted[lo : lo + 11], ctx, codebook)
-        expected.append(decoded.byte_value)
-        expected_distances.append(decoded.dna_distance)
-        ctx = decoded.corrected_window[-1]
-    assert data == bytes(expected)
-    assert list(report.codeword_distances) == expected_distances
+    def flip(pos, payload):
+        payload[pos] = rng.choice([b for b in "ACGT" if b != payload[pos]])
+
+    def six_flips():
+        payload = list(clean)
+        for _ in range(6):
+            flip(rng.randrange(len(payload)), payload)
+        return "".join(payload)
+
+    def at_rate(rate):
+        payload = list(clean)
+        for pos in range(len(payload)):
+            if rng.random() < rate:
+                flip(pos, payload)
+        return "".join(payload)
+
+    for corrupted in (six_flips(), at_rate(0.05), at_rate(0.3)):
+        for start in "ACGT":
+            data, report, last = decode_chunk(
+                ChunkRecord(payload_dna=corrupted, header_dna=record.header_dna),
+                codebook,
+                start,
+            )
+            # reference: straight chained per-window ML decoding
+            ctx = start
+            expected = bytearray()
+            expected_distances = []
+            ambiguities = 0
+            for lo in range(0, len(corrupted), 11):
+                decoded = decode_codeword_ml(corrupted[lo : lo + 11], ctx, codebook)
+                expected.append(decoded.byte_value)
+                expected_distances.append(decoded.dna_distance)
+                ambiguities += decoded.ambiguous
+                ctx = decoded.corrected_window[-1]
+            assert data == bytes(expected)
+            assert list(report.codeword_distances) == expected_distances
+            assert report.ambiguities == ambiguities
+            assert last == ctx
 
 
 def test_audit_single_flip_smoke(codebook):
