@@ -84,11 +84,6 @@ class ChannelSpec:
         return f"rate={self.rate:g}"
 
 
-def _substitute(codes: np.ndarray, positions: np.ndarray, rng: np.random.Generator):
-    offsets = rng.integers(1, 4, size=len(positions))
-    codes[positions] = (codes[positions] + offsets) & 3
-
-
 def inject_substitutions(
     dna: str, spec: ChannelSpec, rng: np.random.Generator | None = None
 ) -> str:
@@ -101,25 +96,28 @@ def inject_substitutions(
     dna = parse_dna(dna)
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    if not dna:
-        return dna
     codes = dna_codes(dna).copy()
     if spec.mode == MODE_RATE:
-        mask = rng.random(len(codes)) < spec.rate
-        _substitute(codes, np.flatnonzero(mask), rng)
-        return codes_to_dna(codes)
-    if spec.count == 0:
-        return dna
-    positions = []
-    for start in range(0, len(codes), CODEWORD_LENGTH):
-        width = min(CODEWORD_LENGTH, len(codes) - start)
-        if spec.count > width:
+        positions = np.flatnonzero(rng.random(len(codes)) < spec.rate)
+    else:
+        # Floyd's sampling in all windows at once, one pass per flip: pass
+        # j draws t in [0, width - j] and takes width - j, which no earlier
+        # pass could draw, if the window's bit mask already holds t
+        starts = np.arange(0, len(codes), CODEWORD_LENGTH)
+        widths = np.minimum(len(codes) - starts, CODEWORD_LENGTH)
+        if len(starts) and spec.count > widths[-1]:
             raise ValueError(
-                f"cannot substitute {spec.count} positions in a window of {width}"
+                f"cannot substitute {spec.count} positions in a window of {widths[-1]}"
             )
-        picks = rng.choice(width, size=spec.count, replace=False)
-        positions.extend(start + int(p) for p in picks)
-    _substitute(codes, np.array(positions, dtype=np.int64), rng)
+        taken = np.zeros(len(starts), dtype=np.int64)
+        positions = np.empty((spec.count, len(starts)), dtype=np.int64)
+        for j in range(spec.count, 0, -1):
+            t = rng.integers(0, widths - j + 1)
+            t = np.where((taken >> t) & 1, widths - j, t)
+            taken |= 1 << t
+            positions[j - 1] = starts + t
+    offsets = rng.integers(1, 4, size=positions.shape)
+    codes[positions] = (codes[positions] + offsets) & 3
     return codes_to_dna(codes)
 
 
@@ -132,20 +130,21 @@ def corrupt_records(
 
     Count mode targets payload codeword windows only; rate mode sweeps
     the whole record, headers included (headers carry no ECC, so this
-    is how header loss gets exercised).
+    is how header loss gets exercised). The fields the mode touches are
+    joined across all records and go through the channel in one call,
+    so in count mode every payload must be whole 11-base windows.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    out = []
-    for rec in records:
-        if spec.mode == MODE_COUNT:
-            payload = inject_substitutions(rec.payload_dna, spec, rng)
-            header = rec.header_dna
-        else:
-            payload = inject_substitutions(rec.payload_dna, spec, rng)
-            header = inject_substitutions(rec.header_dna, spec, rng)
-        out.append(replace(rec, payload_dna=payload, header_dna=header))
-    return out
+    fields = ("payload_dna",) if spec.mode == MODE_COUNT else ("payload_dna", "header_dna")
+    parts = [getattr(rec, name) for rec in records for name in fields]
+    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
+    if spec.mode == MODE_COUNT and (lengths % CODEWORD_LENGTH).any():
+        raise ValueError("count mode needs payloads of whole 11-base windows")
+    damaged = inject_substitutions("".join(parts), spec, rng)
+    ends = np.cumsum(lengths).tolist()
+    pieces = iter([damaged[a:b] for a, b in zip([0] + ends, ends)])
+    return [replace(rec, **{name: next(pieces) for name in fields}) for rec in records]
 
 
 @dataclass(frozen=True)
@@ -184,10 +183,9 @@ def _run_trial(
         return 0.0, 1.0, 0.0
     decoded = result.content
     if content:
-        matching = sum(
-            a == b for a, b in zip(decoded, content)
-        )
-        accuracy = matching / len(content)
+        n = min(len(decoded), len(content))
+        same = np.frombuffer(decoded, np.uint8, n) == np.frombuffer(content, np.uint8, n)
+        accuracy = int(np.count_nonzero(same)) / len(content)
     else:
         accuracy = 1.0
     parity_failures = sum(not rep.parity_ok for rep in result.per_chunk)

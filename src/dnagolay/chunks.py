@@ -18,7 +18,7 @@ Layout of one encoded file:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from itertools import chain, repeat
 from operator import attrgetter
 
@@ -458,8 +458,3 @@ def decode_header(record: ChunkRecord) -> tuple[int, int, bool]:
     the one-record case of :func:`decode_headers`."""
     file_ids, indices, parity_ok = decode_headers([record.header_dna])
     return int(file_ids[0]), int(indices[0]), bool(parity_ok[0])
-
-
-def with_decoded_header(record: ChunkRecord) -> ChunkRecord:
-    file_id, chunk_index, _ = decode_header(record)
-    return replace(record, file_id=file_id, chunk_index=chunk_index)

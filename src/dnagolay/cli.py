@@ -27,13 +27,14 @@ from .analysis import (
 from .chunks import (
     DEFAULT_CHUNK_BASES,
     ChunkError,
+    ChunkRecord,
     FastaError,
     FileDescriptor,
     MAX_FILE_ID,
+    decode_headers,
     emit_fasta,
     encode_file,
     parse_fasta,
-    with_decoded_header,
 )
 from .codebook import (
     CodeFamilySpec,
@@ -127,7 +128,12 @@ def _cmd_corrupt(args) -> int:
     records = parse_fasta(
         Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases
     )
-    corrupted = [with_decoded_header(rec) for rec in corrupt_records(records, spec)]
+    damaged = corrupt_records(records, spec)
+    file_ids, indices, _ = decode_headers([rec.header_dna for rec in damaged])
+    corrupted = [
+        ChunkRecord(rec.payload_dna, rec.header_dna, file_id, index)
+        for rec, file_id, index in zip(damaged, file_ids.tolist(), indices.tolist())
+    ]
     Path(args.outfile).write_text(emit_fasta(corrupted), encoding="utf-8")
     changed = sum(a.sequence != b.sequence for a, b in zip(records, corrupted))
     print(f"channel {spec.label} seed={spec.seed}: {changed}/{len(records)} records altered")

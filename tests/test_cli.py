@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from dnagolay.chunks import decode_header, parse_fasta
 from dnagolay.cli import main
 
 
@@ -111,6 +112,25 @@ def test_corrupt_is_seed_deterministic(tmp_path, sample_file):
     run(["corrupt", "--in", str(fasta), "--out", str(a), "--rate", "0.05", "--seed", "9"])
     run(["corrupt", "--in", str(fasta), "--out", str(b), "--rate", "0.05", "--seed", "9"])
     assert a.read_text() == b.read_text()
+
+
+def test_corrupt_titles_follow_damaged_headers(tmp_path):
+    source = tmp_path / "multi.bin"
+    source.write_bytes(bytes(range(256)) * 2)
+    fasta = tmp_path / "clean.fasta"
+    noisy = tmp_path / "noisy.fasta"
+    run(["encode", "--in", str(source), "--out", str(fasta)])
+    assert run(["corrupt", "--in", str(fasta), "--out", str(noisy), "--rate", "0.05", "--seed", "4"]) == 0
+
+    def titles(path):
+        return [line[1:].split()[0] for line in path.read_text().splitlines() if line.startswith(">")]
+
+    damaged = parse_fasta(noisy.read_text())
+    assert len(damaged) == len(titles(noisy)) > 1
+    assert titles(noisy) != titles(fasta)
+    for title, rec in zip(titles(noisy), damaged):
+        file_id, index, _ = decode_header(rec)
+        assert title == f"f{file_id}_c{index}"
 
 
 def test_decode_partial_on_missing_chunk(tmp_path, capsys):
