@@ -37,6 +37,7 @@ from .codebook import (
     verify_subcode_243,
 )
 from .chunks import (
+    ChunkBatch,
     ChunkError,
     ChunkRecord,
     FastaError,
@@ -78,6 +79,7 @@ __all__ = [
     "CapacityParams",
     "CapacityResult",
     "ChannelSpec",
+    "ChunkBatch",
     "ChunkError",
     "ChunkRecord",
     "CodebookError",

@@ -8,11 +8,13 @@ seed recorded in its report.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
 from .chunks import (
+    ChunkBatch,
     ChunkRecord,
     DEFAULT_CHUNK_BASES,
     FileDescriptor,
@@ -21,7 +23,6 @@ from .chunks import (
 )
 from .codebook import CODEWORD_LENGTH, ByteCodebook
 from .mldecode import DecodeError, decode_file
-from .ternary import parse_dna
 from .transcode import codes_to_dna, dna_codes
 
 MODE_COUNT = "count"
@@ -84,6 +85,44 @@ class ChannelSpec:
         return f"rate={self.rate:g}"
 
 
+def _substitute(
+    codes: np.ndarray,
+    spec: ChannelSpec,
+    rng: np.random.Generator | None,
+    starts: np.ndarray | None = None,
+):
+    """Apply the channel, in place, to an array of base codes.
+
+    Rate mode reaches every base. Count mode works on the windows that
+    begin at ``starts``, by default every 11 bases from the first; each
+    ends 11 bases later or at the end of ``codes``.
+    """
+    if rng is None:
+        rng = np.random.default_rng(spec.seed)
+    if spec.mode == MODE_RATE:
+        positions = np.flatnonzero(rng.random(len(codes)) < spec.rate)
+    else:
+        # Floyd's sampling in all windows at once, one pass per flip: pass
+        # j draws t in [0, width - j] and takes width - j, which no earlier
+        # pass could draw, if the window's bit mask already holds t
+        if starts is None:
+            starts = np.arange(0, len(codes), CODEWORD_LENGTH)
+        widths = np.minimum(len(codes) - starts, CODEWORD_LENGTH)
+        if len(starts) and spec.count > widths[-1]:
+            raise ValueError(
+                f"cannot substitute {spec.count} positions in a window of {widths[-1]}"
+            )
+        taken = np.zeros(len(starts), dtype=np.int16)
+        positions = np.empty((spec.count, len(starts)), dtype=np.int64)
+        for j in range(spec.count, 0, -1):
+            t = rng.integers(0, widths - j + 1)
+            t = np.where((taken >> t) & 1, widths - j, t)
+            taken |= 1 << t
+            np.add(starts, t, out=positions[j - 1])
+    offsets = rng.integers(1, 4, size=positions.shape)
+    codes[positions] = (codes[positions] + offsets) & 3
+
+
 def inject_substitutions(
     dna: str, spec: ChannelSpec, rng: np.random.Generator | None = None
 ) -> str:
@@ -93,58 +132,33 @@ def inject_substitutions(
     each consecutive 11-base window (a trailing shorter window is
     allowed as long as it still has ``count`` positions).
     """
-    dna = parse_dna(dna)
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    codes = dna_codes(dna).copy()
-    if spec.mode == MODE_RATE:
-        positions = np.flatnonzero(rng.random(len(codes)) < spec.rate)
-    else:
-        # Floyd's sampling in all windows at once, one pass per flip: pass
-        # j draws t in [0, width - j] and takes width - j, which no earlier
-        # pass could draw, if the window's bit mask already holds t
-        starts = np.arange(0, len(codes), CODEWORD_LENGTH)
-        widths = np.minimum(len(codes) - starts, CODEWORD_LENGTH)
-        if len(starts) and spec.count > widths[-1]:
-            raise ValueError(
-                f"cannot substitute {spec.count} positions in a window of {widths[-1]}"
-            )
-        taken = np.zeros(len(starts), dtype=np.int64)
-        positions = np.empty((spec.count, len(starts)), dtype=np.int64)
-        for j in range(spec.count, 0, -1):
-            t = rng.integers(0, widths - j + 1)
-            t = np.where((taken >> t) & 1, widths - j, t)
-            taken |= 1 << t
-            positions[j - 1] = starts + t
-    offsets = rng.integers(1, 4, size=positions.shape)
-    codes[positions] = (codes[positions] + offsets) & 3
+    codes = dna_codes(dna)
+    _substitute(codes, spec, rng)
     return codes_to_dna(codes)
 
 
 def corrupt_records(
-    records: list[ChunkRecord],
+    records: Sequence[ChunkRecord],
     spec: ChannelSpec,
     rng: np.random.Generator | None = None,
-) -> list[ChunkRecord]:
-    """Apply the channel to chunk records.
+) -> ChunkBatch:
+    """Apply the channel to chunk records, in one pass over the base
+    codes of all of them.
 
-    Count mode targets payload codeword windows only; rate mode sweeps
-    the whole record, headers included (headers carry no ECC, so this
-    is how header loss gets exercised). The fields the mode touches are
-    joined across all records and go through the channel in one call,
-    so in count mode every payload must be whole 11-base windows.
+    Count mode targets payload codeword windows only, so every payload
+    must be whole 11-base windows; rate mode sweeps the whole record,
+    headers included (headers carry no ECC, so this is how header loss
+    gets exercised).
     """
-    if rng is None:
-        rng = np.random.default_rng(spec.seed)
-    fields = ("payload_dna",) if spec.mode == MODE_COUNT else ("payload_dna", "header_dna")
-    parts = [getattr(rec, name) for rec in records for name in fields]
-    lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-    if spec.mode == MODE_COUNT and (lengths % CODEWORD_LENGTH).any():
-        raise ValueError("count mode needs payloads of whole 11-base windows")
-    damaged = inject_substitutions("".join(parts), spec, rng)
-    ends = np.cumsum(lengths).tolist()
-    pieces = iter([damaged[a:b] for a, b in zip([0] + ends, ends)])
-    return [replace(rec, **{name: next(pieces) for name in fields}) for rec in records]
+    batch = ChunkBatch.of(records)
+    starts = None
+    if spec.mode == MODE_COUNT:
+        if (batch.payload_lengths % CODEWORD_LENGTH).any():
+            raise ValueError("count mode needs payloads of whole 11-base windows")
+        starts = batch.window_starts()
+    codes = batch.codes.copy()
+    _substitute(codes, spec, rng, starts)
+    return ChunkBatch(codes, batch.ends, batch.header_widths, batch.file_ids, batch.chunk_indices)
 
 
 @dataclass(frozen=True)
@@ -169,7 +183,7 @@ class MonteCarloRow:
 
 
 def _run_trial(
-    records: list[ChunkRecord],
+    records: Sequence[ChunkRecord],
     content: bytes,
     codebook: ByteCodebook,
     spec: ChannelSpec,
@@ -188,7 +202,7 @@ def _run_trial(
         accuracy = int(np.count_nonzero(same)) / len(content)
     else:
         accuracy = 1.0
-    parity_failures = sum(not rep.parity_ok for rep in result.per_chunk)
+    parity_failures = int(np.count_nonzero(~result.per_chunk.parity_ok))
     chunk_count = max(1, len(result.per_chunk) + len(result.unrecoverable_chunks))
     exact = float(decoded == content)
     return accuracy, parity_failures / chunk_count, exact

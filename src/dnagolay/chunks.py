@@ -13,21 +13,26 @@ Layout of one encoded file:
 * each chunk gets a header of 2 file-id trits, mu chunk-index trits and
   one parity trit, rotation-encoded from a fresh 'A' context. Headers
   carry no error correction.
+
+Records travel as one :class:`ChunkBatch`: the base codes of all records
+back to back plus a few per-record columns. Encoding, FASTA and decoding
+read the columns; a :class:`ChunkRecord` is only built when a caller
+indexes or iterates the batch.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, fields
-from itertools import chain, repeat
-from operator import attrgetter
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .codebook import CODEWORD_LENGTH, ByteCodebook
 from .ternary import parse_dna
 from .transcode import (
-    _CHAR_TO_BASE,
+    _CHAR_TO_CODE_TABLE,
+    _CODE_TO_BASE,
     BASE_INDEX,
     DEFAULT_PREV_BASE,
     codes_to_dna,
@@ -49,7 +54,7 @@ FASTA_LINE_WIDTH = 80
 _ORD_ZERO = ord("0")
 _NEWLINE = ord("\n")
 _TITLE = ord(">")
-_SEQUENCE_PARTS = attrgetter("payload_dna", "header_dna")
+_UNKNOWN = -1
 
 
 class ChunkError(ValueError):
@@ -113,20 +118,154 @@ class ChunkRecord:
         return self.payload_dna + self.header_dna
 
 
-_RECORD_SLOTS = tuple(getattr(ChunkRecord, f.name).__set__ for f in fields(ChunkRecord))
+def _known(value: int | None) -> int:
+    return _UNKNOWN if value is None else value
 
 
-def _make_records(count: int, *columns) -> list[ChunkRecord]:
-    """``count`` ChunkRecords from one iterable per field, in field order.
+def _optional(value: int) -> int | None:
+    return None if value < 0 else value
 
-    A megabyte encodes to over 100,000 chunks; filling each slot column
-    through its descriptor skips a frozen ``__init__`` per record, which
-    took a quarter of the time to encode and a fifth of the time to parse.
+
+class _Columns(Sequence):
+    """A read-only sequence kept as columns of read-only arrays, which
+    builds items ``lo`` to ``hi - 1`` on demand with ``_items(lo, hi)``
+    and equals any sequence of equal items."""
+
+    __slots__ = ()
+
+    def _freeze(self, **columns: np.ndarray):
+        for name, column in columns.items():
+            column.flags.writeable = False
+            setattr(self, name, column)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]
+        return next(self._items(i, i + 1))
+
+    def __iter__(self):
+        return self._items(0, len(self))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+
+class ChunkBatch(_Columns):
+    """An immutable sequence of :class:`ChunkRecord`, kept as columns.
+
+    ``codes`` holds every record's sequence, payload then header, back
+    to back as base codes 0..3; ``ends`` is each record's end offset in
+    it and ``header_widths`` its header length. ``file_ids`` and
+    ``chunk_indices`` are negative where unknown, as for parsed records.
+    The columns are read-only arrays, taken over rather than copied.
+    Indexing and iteration build ChunkRecords on demand; the codec's
+    functions read the columns, and take any other sequence of records
+    through :meth:`of`.
     """
-    records = list(map(object.__new__, repeat(ChunkRecord, count)))
-    for fill, values in zip(_RECORD_SLOTS, columns, strict=True):
-        deque(map(fill, records, values), maxlen=0)
-    return records
+
+    __slots__ = ("codes", "ends", "header_widths", "file_ids", "chunk_indices")
+
+    def __init__(self, codes, ends, header_widths, file_ids=None, chunk_indices=None):
+        unknown = np.full(len(ends), _UNKNOWN, dtype=np.int64)
+        self._freeze(
+            codes=np.asarray(codes, dtype=np.uint8),
+            ends=np.asarray(ends, dtype=np.int64),
+            header_widths=np.asarray(header_widths, dtype=np.int64),
+            file_ids=np.asarray(unknown if file_ids is None else file_ids, dtype=np.int64),
+            chunk_indices=np.asarray(
+                unknown if chunk_indices is None else chunk_indices, dtype=np.int64
+            ),
+        )
+
+    @classmethod
+    def of(cls, records: Sequence[ChunkRecord]) -> ChunkBatch:
+        """``records`` as a batch: a batch is returned as it is, any
+        other sequence of ChunkRecords is joined in one pass, upper
+        case. Raises :class:`AlphabetError` for a symbol that is not a
+        base."""
+        if isinstance(records, ChunkBatch):
+            return records
+        columns = np.array(
+            [
+                (len(r.payload_dna), len(r.header_dna), _known(r.file_id), _known(r.chunk_index))
+                for r in records
+            ],
+            dtype=np.int64,
+        ).reshape(-1, 4)
+        payloads, headers, file_ids, chunk_indices = columns.T
+        sequences = [part for r in records for part in (r.payload_dna, r.header_dna)]
+        codes = dna_codes("".join(sequences))
+        return cls(codes, np.cumsum(payloads + headers), headers, file_ids, chunk_indices)
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return np.diff(self.ends, prepend=0)
+
+    @property
+    def starts(self) -> np.ndarray:
+        return self.ends - self.lengths
+
+    @property
+    def payload_lengths(self) -> np.ndarray:
+        return self.lengths - self.header_widths
+
+    def window_starts(self, order=slice(None)) -> np.ndarray:
+        """Where each 11-base window of the payloads of the records
+        ``order`` (all, by default) starts in ``codes``, those records
+        taken in that order. Bases past a payload's last whole window
+        are left out."""
+        counts = self.payload_lengths[order] // CODEWORD_LENGTH
+        ends = np.cumsum(counts)
+        # window k starts 11 k bases after the first window of the stream,
+        # shifted by where its record starts in codes
+        starts = np.repeat(self.starts[order] - CODEWORD_LENGTH * (ends - counts), counts)
+        starts += np.arange(0, CODEWORD_LENGTH * len(starts), CODEWORD_LENGTH)
+        return starts
+
+    def __len__(self) -> int:
+        return len(self.ends)
+
+    def __getitem__(self, index):
+        item = super().__getitem__(index)
+        return ChunkBatch.of(item) if isinstance(index, slice) else item
+
+    def _items(self, lo: int, hi: int):
+        """ChunkRecords ``lo`` to ``hi - 1``, from one conversion of each column."""
+        origin = int(self.ends[lo - 1]) if lo else 0
+        ends = self.ends[lo:hi] - origin
+        splits = (ends - self.header_widths[lo:hi]).tolist()
+        ends = ends.tolist()
+        text = codes_to_dna(self.codes[origin : origin + (ends[-1] if ends else 0)])
+        return map(
+            ChunkRecord,
+            map(text.__getitem__, map(slice, [0, *ends], splits)),
+            map(text.__getitem__, map(slice, splits, ends)),
+            map(_optional, self.file_ids[lo:hi].tolist()),
+            map(_optional, self.chunk_indices[lo:hi].tolist()),
+        )
+
+    def decoded_headers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Literal (no ECC) decode of every header: file ids, chunk
+        indices and parity_ok flags as arrays, one matrix pass per
+        header width.
+
+        Unreadable positions (repeated bases) read as trit 0 and force
+        parity_ok False, matching best-effort recovery of damaged headers.
+        """
+        count = len(self)
+        file_ids = np.empty(count, dtype=np.int64)
+        indices = np.empty(count, dtype=np.int64)
+        parity_ok = np.empty(count, dtype=bool)
+        widths = self.header_widths
+        header_starts = self.ends - widths
+        for width in np.unique(widths).tolist():
+            rows = np.flatnonzero(widths == width)
+            codes = sliding_window_view(self.codes, width)[header_starts[rows]]
+            file_ids[rows], indices[rows], parity_ok[rows] = _decode_header_rows(codes)
+        return file_ids, indices, parity_ok
 
 
 def int_to_trits(value: int, width: int) -> str:
@@ -225,8 +364,8 @@ def encode_file(
     fd: FileDescriptor,
     codebook: ByteCodebook,
     chunk_bases: int = DEFAULT_CHUNK_BASES,
-) -> list[ChunkRecord]:
-    """Encode a file into chunk records.
+) -> ChunkBatch:
+    """Encode a file into a batch of chunk records.
 
     The payload is rotation-encoded as one continuous stream (chunk k
     inherits the last payload base of chunk k-1 as context), so the
@@ -234,66 +373,107 @@ def encode_file(
     a fresh 'A' context each.
     """
     _check_chunk_bases(chunk_bases)
-    codes = encode_words(
+    payload = encode_words(
         codebook.as_array(), _payload_values(fd), BASE_INDEX[DEFAULT_PREV_BASE]
-    )
-    payloads = segment_payload(codes_to_dna(codes), chunk_bases)
-    count = len(payloads)
+    ).ravel()
+    count = -(-len(payload) // chunk_bases)
     mu = mu_for_segments(count)
     # every header starts from a fresh 'A' context: one matrix row each
-    header_trit_rows = _header_trit_rows(fd.file_id, np.arange(count), mu)
-    headers = codes_to_dna(encode_rows(header_trit_rows, BASE_INDEX[DEFAULT_PREV_BASE]))
-    width = FILE_ID_TRITS + mu + 1
-    return _make_records(
-        count,
-        payloads,
-        [headers[i : i + width] for i in range(0, len(headers), width)],
-        repeat(fd.file_id, count),
-        range(count),
+    headers = encode_rows(
+        _header_trit_rows(fd.file_id, np.arange(count), mu), BASE_INDEX[DEFAULT_PREV_BASE]
+    )
+    width = headers.shape[1]
+    lengths = np.full(count, chunk_bases + width, dtype=np.int64)
+    lengths[-1] = len(payload) - chunk_bases * (count - 1) + width
+    ends = np.cumsum(lengths)
+    # full chunks are rows of one matrix; only the last record may be short
+    codes = np.empty(int(ends[-1]), dtype=np.uint8)
+    full = len(payload) // chunk_bases
+    rows = codes[: full * (chunk_bases + width)].reshape(full, chunk_bases + width)
+    rows[:, :chunk_bases] = payload[: full * chunk_bases].reshape(full, chunk_bases)
+    rows[:, chunk_bases:] = headers[:full]
+    if full < count:
+        codes[rows.size :] = np.concatenate((payload[full * chunk_bases :], headers[-1]))
+    return ChunkBatch(
+        codes, ends, np.full(count, width), np.full(count, fd.file_id), np.arange(count)
     )
 
 
-def _wrap(parts: list[str], lengths: np.ndarray) -> list[str]:
-    """Each record's sequence, given as its two consecutive ``parts``, as
-    FASTA lines: a newline after every 80 bases and at the end. The
-    records are taken in order of length, so that each distinct length
-    wraps as one matrix whatever the order of the records."""
-    order = np.argsort(lengths, kind="stable")
-    picks = np.stack((2 * order, 2 * order + 1), axis=1).ravel().tolist()
-    data = np.frombuffer("".join(map(parts.__getitem__, picks)).encode("ascii"), dtype=np.uint8)
-    lengths = lengths[order]
-    bodies: list[str] = []
-    runs = (np.flatnonzero(np.diff(lengths)) + 1).tolist()
-    offset = 0
-    for start, stop in zip([0, *runs], [*runs, len(lengths)]):
-        count, length = stop - start, int(lengths[start])
-        rows = data[offset : offset + count * length].reshape(count, length)
-        offset += count * length
-        lines = -(-length // FASTA_LINE_WIDTH)
-        width = length + lines
-        wrapped = np.full((count, width), _NEWLINE, dtype=np.uint8)
-        for line in range(lines):
-            col = line * FASTA_LINE_WIDTH
-            piece = rows[:, col : col + FASTA_LINE_WIDTH]
-            wrapped[:, col + line : col + line + piece.shape[1]] = piece
-        text = wrapped.tobytes().decode("ascii")
-        bodies += [text[i * width : (i + 1) * width] for i in range(count)]
-    return list(map(bodies.__getitem__, np.argsort(order).tolist()))
+_POWERS_OF_TEN = 10 ** np.arange(1, 19)
 
 
-def emit_fasta(records: list[ChunkRecord]) -> str:
-    """Serialize chunk records as FASTA, sequence wrapped at 80 columns."""
-    if not records:
+def _digit_counts(values: np.ndarray) -> np.ndarray:
+    """Number of decimal digits of each non-negative integer."""
+    return 1 + np.searchsorted(_POWERS_OF_TEN, values, side="right")
+
+
+def _put_decimal(values: np.ndarray, out: np.ndarray):
+    """Write non-negative integers as ASCII decimal digits, one per row
+    of ``out``, whose width is their digit count."""
+    for col in range(out.shape[1] - 1, -1, -1):
+        values, digits = np.divmod(values, 10)
+        out[:, col] = digits + _ORD_ZERO
+
+
+def _fasta_rows(
+    file_ids: np.ndarray, indices: np.ndarray, bases: np.ndarray, starts: np.ndarray
+) -> np.ndarray:
+    """FASTA text of records whose ids, indices and lengths have the same
+    digit counts, one row each: the ``>f<id>_c<index> len=<bases>``
+    title, then the rows ``starts`` of ``bases`` with a newline after
+    every 80 bases and at the end."""
+    count, length = len(starts), bases.shape[1]
+    id_end = 2 + int(_digit_counts(file_ids[:1])[0])
+    index_end = id_end + 2 + int(_digit_counts(indices[:1])[0])
+    template = f">f{'0' * (id_end - 2)}_c{'0' * (index_end - id_end - 2)} len={length}\n"
+    title = len(template)
+    rows = np.full((count, title + length + -(-length // FASTA_LINE_WIDTH)), _NEWLINE, np.uint8)
+    rows[:, :title] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    _put_decimal(file_ids, rows[:, 2:id_end])
+    _put_decimal(indices, rows[:, id_end + 2 : index_end])
+    for line, col in enumerate(range(0, length, FASTA_LINE_WIDTH)):
+        piece = bases[starts, col : col + FASTA_LINE_WIDTH]
+        rows[:, title + col + line : title + col + line + piece.shape[1]] = piece
+    return rows
+
+
+def emit_fasta(records: Sequence[ChunkRecord]) -> str:
+    """Serialize chunk records as FASTA, sequence wrapped at 80 columns.
+
+    Each record is titled ``>f<file_id>_c<chunk_index> len=<bases>``; a
+    record that does not know its id or index, as a parsed one, takes it
+    from its decoded header.
+    """
+    batch = ChunkBatch.of(records)
+    if not len(batch):
         return ""
-    parts = list(chain.from_iterable(map(_SEQUENCE_PARTS, records)))
-    part_lengths = np.fromiter(map(len, parts), dtype=np.int64, count=len(parts))
-    lengths = part_lengths[0::2] + part_lengths[1::2]
-    titles = [
-        f">f{rec.file_id}_c{rec.chunk_index} len={length}\n"
-        for rec, length in zip(records, lengths.tolist())
-    ]
-    bodies = _wrap(parts, lengths)
-    return "".join(chain.from_iterable(zip(titles, bodies)))
+    file_ids, indices = batch.file_ids, batch.chunk_indices
+    if (file_ids < 0).any() or (indices < 0).any():
+        decoded_ids, decoded_indices, _ = batch.decoded_headers()
+        file_ids = np.where(file_ids < 0, decoded_ids, file_ids)
+        indices = np.where(indices < 0, decoded_indices, indices)
+    lengths, starts = batch.lengths, batch.starts
+    id_digits, index_digits = _digit_counts(file_ids), _digit_counts(indices)
+    sizes = (
+        len(">f_c len=\n")
+        + id_digits
+        + index_digits
+        + _digit_counts(lengths)
+        + lengths
+        + -(-lengths // FASTA_LINE_WIDTH)
+    )
+    offsets = np.cumsum(sizes) - sizes
+    out = bytearray(int(sizes.sum()))
+    text = np.frombuffer(out, dtype=np.uint8)
+    # records alike in length and digit counts are one matrix of text
+    groups = (lengths * 32 + id_digits) * 32 + index_digits
+    order = np.argsort(groups, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(groups[order])) + 1):
+        bases = sliding_window_view(batch.codes, int(lengths[rows[0]]))
+        fasta = _fasta_rows(file_ids[rows], indices[rows], bases, starts[rows])
+        sliding_window_view(text, fasta.shape[1], writeable=True)[offsets[rows]] = fasta
+    # the bases are still codes 0..3; the table keeps every other byte
+    return out.translate(_CODE_TO_BASE).decode("ascii")
 
 
 def _infer_mu(lengths: np.ndarray, chunk_bases: int) -> int:
@@ -305,9 +485,9 @@ def _infer_mu(lengths: np.ndarray, chunk_bases: int) -> int:
     return mu
 
 
-def _split_fasta(text: str) -> tuple[str, np.ndarray, np.ndarray]:
-    """Upper-case sequences of all records, concatenated, with each
-    record's length and the 1-based line number of its title.
+def _split_fasta(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Base codes of all records, concatenated, with each record's
+    length and the 1-based line number of its title.
 
     The text is first read the way :func:`emit_fasta` writes it: lines
     end at newlines and carriage returns are dropped. If that reading
@@ -323,7 +503,7 @@ def _split_fasta(text: str) -> tuple[str, np.ndarray, np.ndarray]:
         return _split_lines(stripped.encode("utf-8"))
 
 
-def _split_lines(lines: bytes) -> tuple[str, np.ndarray, np.ndarray]:
+def _split_lines(lines: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One reading of :func:`_split_fasta`, of UTF-8 text in which every
     line follows a newline, so that line k (0-based) starts right after
     the k-th newline. The work is done on the bytes with one entry per
@@ -345,8 +525,8 @@ def _split_lines(lines: bytes) -> tuple[str, np.ndarray, np.ndarray]:
     # the bytes of sequence lines, without their newlines
     keep = np.repeat(~is_title, widths + 1)
     keep[newlines] = False
-    sequences = buf[keep].tobytes().translate(_CHAR_TO_BASE)
-    bad = sequences.find(0)
+    sequences = buf[keep].tobytes().translate(_CHAR_TO_CODE_TABLE)
+    bad = sequences.find(255)
     if bad >= 0:
         line = int(np.searchsorted(np.cumsum(seq_widths), bad, side="right"))
         start = int(first[line])
@@ -358,11 +538,12 @@ def _split_lines(lines: bytes) -> tuple[str, np.ndarray, np.ndarray]:
     empty = np.flatnonzero(lengths == 0)
     if empty.size:
         raise FastaError("record has no sequence data", int(titles[empty[0]]) + 1)
-    return sequences.decode("ascii"), lengths, titles + 1
+    return np.frombuffer(sequences, dtype=np.uint8), lengths, titles + 1
 
 
-def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> list[ChunkRecord]:
-    """Parse FASTA text back into chunk records (headers undecoded).
+def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch:
+    """Parse FASTA text back into a batch of chunk records (headers
+    undecoded, so ids and indices unknown).
 
     The chunk-index width mu is inferred from record lengths: full
     records have ``chunk_bases`` payload bases, so mu = record length -
@@ -370,9 +551,9 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> list[Chunk
     deviate, and only downward.
     """
     _check_chunk_bases(chunk_bases)
-    if not text.strip():
-        return []
-    sequences, lengths, title_lines = _split_fasta(text)
+    if not text or text.isspace():
+        return ChunkBatch.of([])
+    codes, lengths, title_lines = _split_fasta(text)
 
     distinct = np.unique(lengths).tolist()
     if len(distinct) > 2:
@@ -399,17 +580,7 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> list[Chunk
             f"{CODEWORD_LENGTH}",
             int(title_lines[first]),
         )
-    record_ends = np.cumsum(lengths)
-    starts = (record_ends - lengths).tolist()
-    splits = (record_ends - header_len).tolist()
-    ends = record_ends.tolist()
-    return _make_records(
-        len(lengths),
-        [sequences[a:b] for a, b in zip(starts, splits)],
-        [sequences[a:b] for a, b in zip(splits, ends)],
-        repeat(None),
-        repeat(None),
-    )
+    return ChunkBatch(codes, np.cumsum(lengths), np.full(len(lengths), header_len))
 
 
 def _decode_header_rows(codes: np.ndarray):
@@ -432,29 +603,13 @@ def _decode_header_rows(codes: np.ndarray):
     return file_ids, indices, ~unreadable & (parity % 3 == trits[:, -1])
 
 
-def decode_headers(headers: list[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Literal (no ECC) decode of many headers: file ids, chunk indices
-    and parity_ok flags as arrays. Headers of one width decode together
-    in one matrix pass.
-
-    Unreadable positions (repeated bases) read as trit 0 and force
-    parity_ok False, matching best-effort recovery of damaged headers.
-    """
-    count = len(headers)
-    widths = np.fromiter(map(len, headers), dtype=np.int64, count=count)
-    file_ids = np.empty(count, dtype=np.int64)
-    indices = np.empty(count, dtype=np.int64)
-    parity_ok = np.empty(count, dtype=bool)
-    for width in np.flatnonzero(np.bincount(widths)).tolist():
-        rows = np.flatnonzero(widths == width)
-        group = headers if len(rows) == count else [headers[i] for i in rows.tolist()]
-        codes = dna_codes("".join(group)).reshape(len(rows), width)
-        file_ids[rows], indices[rows], parity_ok[rows] = _decode_header_rows(codes)
-    return file_ids, indices, parity_ok
+def decode_headers(headers: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`ChunkBatch.decoded_headers` of header strings."""
+    return ChunkBatch.of([ChunkRecord("", header) for header in headers]).decoded_headers()
 
 
 def decode_header(record: ChunkRecord) -> tuple[int, int, bool]:
     """Literal (no ECC) header decode: (file_id, chunk_index, parity_ok);
-    the one-record case of :func:`decode_headers`."""
-    file_ids, indices, parity_ok = decode_headers([record.header_dna])
+    the one-record case of :meth:`ChunkBatch.decoded_headers`."""
+    file_ids, indices, parity_ok = ChunkBatch.of([record]).decoded_headers()
     return int(file_ids[0]), int(indices[0]), bool(parity_ok[0])

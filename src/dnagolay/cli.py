@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .analysis import (
     CapacityParams,
@@ -26,12 +28,11 @@ from .analysis import (
 )
 from .chunks import (
     DEFAULT_CHUNK_BASES,
+    FILE_ID_TRITS,
     ChunkError,
-    ChunkRecord,
     FastaError,
     FileDescriptor,
     MAX_FILE_ID,
-    decode_headers,
     emit_fasta,
     encode_file,
     parse_fasta,
@@ -73,8 +74,8 @@ def _cmd_encode(args) -> int:
     fd = FileDescriptor(content=data, extension=extension, file_id=args.file_id)
     records = encode_file(fd, codebook, args.chunk_bases)
     Path(args.outfile).write_text(emit_fasta(records), encoding="utf-8")
-    total_bases = sum(rec.total_length for rec in records)
-    mu = records[0].mu
+    total_bases = len(records.codes)
+    mu = int(records.header_widths[0]) - FILE_ID_TRITS - 1
     cost = synthesis_cost(total_bases)
     print(f"encoded {len(data)} bytes -> {len(records)} chunk(s), mu={mu}")
     print(f"total bases: {total_bases}")
@@ -103,7 +104,7 @@ def _cmd_decode(args) -> int:
         out = out.with_name(out.name + ".partial")
     out.write_bytes(result.content)
     _write_report(args.report, result.to_dict())
-    corrected = sum(sum(rep.codeword_distances) for rep in result.per_chunk)
+    corrected = int(result.per_chunk.codeword_distances.sum(dtype=np.int64))
     print(
         f"decoded {len(result.content)} bytes "
         f"(declared {result.size_bytes}, extension {result.extension!r})"
@@ -129,13 +130,9 @@ def _cmd_corrupt(args) -> int:
         Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases
     )
     damaged = corrupt_records(records, spec)
-    file_ids, indices, _ = decode_headers([rec.header_dna for rec in damaged])
-    corrupted = [
-        ChunkRecord(rec.payload_dna, rec.header_dna, file_id, index)
-        for rec, file_id, index in zip(damaged, file_ids.tolist(), indices.tolist())
-    ]
-    Path(args.outfile).write_text(emit_fasta(corrupted), encoding="utf-8")
-    changed = sum(a.sequence != b.sequence for a, b in zip(records, corrupted))
+    Path(args.outfile).write_text(emit_fasta(damaged), encoding="utf-8")
+    flipped = np.flatnonzero(records.codes != damaged.codes)
+    changed = len(np.unique(np.searchsorted(records.ends, flipped, side="right")))
     print(f"channel {spec.label} seed={spec.seed}: {changed}/{len(records)} records altered")
     return EXIT_OK
 

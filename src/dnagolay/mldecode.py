@@ -33,24 +33,24 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain, combinations, product, repeat
+from itertools import combinations, product
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .chunks import (
+    _Columns,
+    ChunkBatch,
     ChunkRecord,
     EXTENSION_SEPARATOR,
     SIZE_SEPARATOR,
-    decode_header,
-    decode_headers,
 )
 from .codebook import CODE_SIZE, CODEWORD_LENGTH, ByteCodebook
-from .ternary import DNA_ALPHABET, parse_dna
+from .ternary import DNA_ALPHABET
 from .transcode import (
     BASE_INDEX,
     DEFAULT_PREV_BASE,
     codes_to_dna,
-    decode_codes,
     decode_rows,
     dna_codes,
     encode_rows,
@@ -104,12 +104,56 @@ class ChunkDecodeReport:
         }
 
 
+class ChunkReports(_Columns):
+    """Read-only sequence of :class:`ChunkDecodeReport`, kept as columns.
+
+    ``chunk_index``, ``file_id``, ``parity_ok`` and ``ambiguities`` hold
+    one value per chunk; ``codeword_distances`` holds the DNA distance of
+    every window of all chunks back to back, and ``window_ends`` the end
+    of each chunk's windows in it. Indexing and iteration build reports
+    on demand.
+    """
+
+    __slots__ = (
+        "chunk_index", "file_id", "parity_ok", "codeword_distances", "window_ends", "ambiguities"
+    )
+
+    def __init__(
+        self, chunk_index, file_id, parity_ok, codeword_distances, window_ends, ambiguities
+    ):
+        self._freeze(
+            chunk_index=chunk_index,
+            file_id=file_id,
+            parity_ok=parity_ok,
+            codeword_distances=codeword_distances,
+            window_ends=window_ends,
+            ambiguities=ambiguities,
+        )
+
+    def __len__(self) -> int:
+        return len(self.chunk_index)
+
+    def _items(self, lo: int, hi: int):
+        """Reports ``lo`` to ``hi - 1``, from one conversion of each column."""
+        origin = int(self.window_ends[lo - 1]) if lo else 0
+        ends = (self.window_ends[lo:hi] - origin).tolist()
+        distances = self.codeword_distances[origin : origin + (ends[-1] if ends else 0)].tolist()
+        return map(
+            ChunkDecodeReport,
+            self.chunk_index[lo:hi].tolist(),
+            self.file_id[lo:hi].tolist(),
+            self.parity_ok[lo:hi].tolist(),
+            map(distances.__getitem__, map(slice, [0, *ends], ends)),
+            self.ambiguities[lo:hi].tolist(),
+        )
+
+
 @dataclass
 class DecodeResult:
     content: bytes
     extension: str
     size_bytes: int | None
-    per_chunk: list[ChunkDecodeReport]
+    per_chunk: ChunkReports
     unrecoverable_chunks: list[int]
     file_id: int
     trailer_ok: bool
@@ -121,7 +165,7 @@ class DecodeResult:
             and self.trailer_ok
             and self.size_bytes is not None
             and len(self.content) == self.size_bytes
-            and all(rep.parity_ok for rep in self.per_chunk)
+            and bool(self.per_chunk.parity_ok.all())
         )
 
     def to_dict(self) -> dict:
@@ -256,12 +300,13 @@ def _batched_min_stats(
 
 
 def _decode_stream(
-    payload: str, prev_base: str, images: CandidateImages
-) -> tuple[bytearray, list[int] | None, list[int], str]:
-    """Decode a payload DNA stream window by window with context chaining.
+    windows: np.ndarray, prev_code: int, images: CandidateImages
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Decode a stream of received (windows, 11) base codes, received
+    after base code ``prev_code``, window by window with context chaining.
 
-    Returns (bytes, per-window DNA distances or None when every window
-    was error-free, indices of ambiguous windows, final corrected base).
+    Returns (byte values, per-window DNA distances, per-window ambiguous
+    flags, final corrected base code).
 
     An undamaged stream reads back through the trit lookup table in a
     few array passes; since every window then equals a codeword image
@@ -273,26 +318,23 @@ def _decode_stream(
     k's context is final after at most k+1 rounds, so the result is the
     sequential window-by-window decode.
     """
-    n = len(payload) // CODEWORD_LENGTH
-    codes = dna_codes(payload)
-    trits = decode_codes(codes, BASE_INDEX[prev_base])
-    mat = trits.reshape(n, CODEWORD_LENGTH)
+    n = len(windows)
+    contexts = np.empty(n, dtype=np.uint8)
+    contexts[0] = prev_code
+    contexts[1:] = windows[:-1, -1]
     keys = np.zeros(n, dtype=np.int32)
     unreadable = np.zeros(n, dtype=bool)
+    before = contexts
     for col in range(CODEWORD_LENGTH):
-        unreadable |= mat[:, col] == 3
+        trits = (windows[:, col] - before - 1) & 3
+        before = windows[:, col]
+        unreadable |= trits == 3
         keys *= 3
-        keys += mat[:, col]
+        keys += trits
     keys[unreadable] = 0  # keeps the lookup in range; these windows miss
     values = images.lut[keys]
     values[unreadable] = _MISS
     todo = np.flatnonzero(values == _MISS)
-    if not todo.size:
-        return bytearray(values.astype(np.uint8).tobytes()), None, [], payload[-1]
-
-    parse_dna(payload)  # the kernel's shift would read any other symbol as a base
-    windows = codes.reshape(n, CODEWORD_LENGTH)
-    contexts = np.insert(windows[:-1, -1], 0, BASE_INDEX[prev_base])
     values = values.astype(np.uint8)
     distances = np.zeros(n, dtype=np.uint8)
     ambiguous = np.zeros(n, dtype=bool)
@@ -307,23 +349,44 @@ def _decode_stream(
         changed = contexts[todo + 1] != ends
         todo = todo[changed] + 1
         contexts[todo] = ends[changed]
-    final = DNA_ALPHABET[(last[values[-1]] + contexts[-1]) & 3]
-    ambiguous = np.flatnonzero(ambiguous).tolist()
-    return bytearray(values.tobytes()), distances.tolist(), ambiguous, final
+    final = int((last[values[-1]] + contexts[-1]) & 3)
+    return values, distances, ambiguous, final
 
 
 def _decode_run(
-    payloads: list[str], prev_base: str | None, images: CandidateImages
-) -> tuple[bytearray, list[int] | None, list[int], str]:
-    """:func:`_decode_stream` over the payloads of consecutive chunks.
+    windows: np.ndarray, prev_code: int | None, first: int, images: CandidateImages
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """:func:`_decode_stream` over the windows of consecutive chunks.
 
-    With ``prev_base`` None the run starts from the context under which
-    the first chunk decodes with the lowest total distance.
+    With ``prev_code`` None the run starts from the context under which
+    its ``first`` windows, those of its first chunk, decode with the
+    lowest total distance.
     """
-    if prev_base is None:
-        costs = [sum(_decode_stream(payloads[0], b, images)[1] or ()) for b in DNA_ALPHABET]
-        prev_base = DNA_ALPHABET[costs.index(min(costs))]
-    return _decode_stream("".join(payloads), prev_base, images)
+    if prev_code is None:
+        costs = [
+            int(_decode_stream(windows[:first], b, images)[1].sum())
+            for b in range(len(DNA_ALPHABET))
+        ]
+        prev_code = costs.index(min(costs))
+    return _decode_stream(windows, prev_code, images)
+
+
+def _payload_windows(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
+    """The payload windows of the records ``order``, in that order, as one
+    (windows, 11) matrix, with each record's window count.
+
+    Raises :class:`DecodeError` for a payload that is not a positive
+    multiple of 11 bases.
+    """
+    payload_lengths = batch.payload_lengths[order]
+    bad = np.flatnonzero((payload_lengths == 0) | (payload_lengths % CODEWORD_LENGTH != 0))
+    if bad.size:
+        raise DecodeError(
+            f"payload length {int(payload_lengths[bad[0]])} is not a positive "
+            f"multiple of {CODEWORD_LENGTH}"
+        )
+    windows = sliding_window_view(batch.codes, CODEWORD_LENGTH)[batch.window_starts(order)]
+    return windows, payload_lengths // CODEWORD_LENGTH
 
 
 def decode_chunk(
@@ -338,24 +401,23 @@ def decode_chunk(
     Header damage never aborts the decode: the payload is still
     recovered best-effort and the chunk is flagged via ``parity_ok``.
     """
-    if len(record.payload_dna) % CODEWORD_LENGTH or not record.payload_dna:
-        raise DecodeError(
-            f"payload length {len(record.payload_dna)} is not a positive "
-            f"multiple of {CODEWORD_LENGTH}"
-        )
-    file_id, chunk_index, parity_ok = decode_header(record)
-    data, distances, ambiguous, last = _decode_run(
-        [record.payload_dna], prev_base, candidate_images(codebook)
+    batch = ChunkBatch.of([record])
+    windows, _ = _payload_windows(batch, slice(None))
+    file_ids, indices, parity_ok = batch.decoded_headers()
+    values, distances, ambiguous, last = _decode_run(
+        windows,
+        None if prev_base is None else BASE_INDEX[prev_base],
+        len(windows),
+        candidate_images(codebook),
     )
-    n = len(record.payload_dna) // CODEWORD_LENGTH
     report = ChunkDecodeReport(
-        chunk_index=record.chunk_index if record.chunk_index is not None else chunk_index,
-        file_id=file_id,
-        parity_ok=parity_ok,
-        codeword_distances=distances if distances is not None else [0] * n,
-        ambiguities=len(ambiguous),
+        chunk_index=int(indices[0]) if record.chunk_index is None else record.chunk_index,
+        file_id=int(file_ids[0]),
+        parity_ok=bool(parity_ok[0]),
+        codeword_distances=distances.tolist(),
+        ambiguities=int(np.count_nonzero(ambiguous)),
     )
-    return bytes(data), report, last
+    return values.tobytes(), report, DNA_ALPHABET[last]
 
 
 def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
@@ -381,13 +443,20 @@ def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
     return stream[:opens], int(digits), extension, ok
 
 
-@lru_cache(maxsize=16)
-def _zero_distances(count: int) -> tuple[int, ...]:
-    return (0,) * count
+def _differ(batch: ChunkBatch, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """Whether the sequences of records ``first`` and ``second`` differ,
+    pair by pair; pairs of one length are compared as one matrix."""
+    lengths, starts = batch.lengths, batch.starts
+    differ = lengths[first] != lengths[second]
+    for length in np.unique(lengths[first][~differ]).tolist():
+        rows = np.flatnonzero(~differ & (lengths[first] == length))
+        records = sliding_window_view(batch.codes, length)
+        differ[rows] = (records[starts[first[rows]]] != records[starts[second[rows]]]).any(axis=1)
+    return differ
 
 
 def decode_file(
-    records: list[ChunkRecord], codebook: ByteCodebook
+    records: Sequence[ChunkRecord], codebook: ByteCodebook
 ) -> DecodeResult:
     """Reassemble and decode a full file from chunk records.
 
@@ -395,11 +464,12 @@ def decode_file(
     headers. Missing chunks are reported and stand in as zero bytes so
     later content keeps its offsets.
     """
-    if not records:
+    batch = ChunkBatch.of(records)
+    if not len(batch):
         raise DecodeError("no records to decode")
     images = candidate_images(codebook)
 
-    fid_arr, index_arr, parity_arr = decode_headers([r.header_dna for r in records])
+    fid_arr, index_arr, parity_arr = batch.decoded_headers()
     counts = np.bincount(fid_arr)
     file_id = int(np.flatnonzero(counts == counts.max())[0])
 
@@ -407,28 +477,21 @@ def decode_file(
     sorted_idx = index_arr[order_all]
     dup_mask = sorted_idx[1:] == sorted_idx[:-1]
     if dup_mask.any():
-        for k in np.flatnonzero(dup_mask):
-            first, second = int(order_all[k]), int(order_all[k + 1])
-            if records[first].sequence != records[second].sequence:
-                raise DuplicateChunkError(
-                    int(sorted_idx[k]), records[first], records[second]
-                )
+        first, second = order_all[:-1][dup_mask], order_all[1:][dup_mask]
+        conflicts = np.flatnonzero(_differ(batch, first, second))
+        if conflicts.size:
+            k = int(conflicts[0])
+            raise DuplicateChunkError(
+                int(index_arr[first[k]]), batch[int(first[k])], batch[int(second[k])]
+            )
         keep = np.concatenate(([True], ~dup_mask))
         order = order_all[keep]
     else:
         order = order_all
 
     present = index_arr[order]
-    payloads = [records[pos].payload_dna for pos in order.tolist()]
-    windows = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
-    bad = np.flatnonzero((windows == 0) | (windows % CODEWORD_LENGTH != 0))
-    if bad.size:
-        raise DecodeError(
-            f"payload length {int(windows[bad[0]])} is not a positive "
-            f"multiple of {CODEWORD_LENGTH}"
-        )
-    windows //= CODEWORD_LENGTH
-    ends = np.cumsum(windows)
+    windows, counts = _payload_windows(batch, order)
+    ends = np.cumsum(counts)
     seen = np.zeros(int(present[-1]) + 1, dtype=bool)
     seen[present] = True
     missing = np.flatnonzero(~seen).tolist()
@@ -437,44 +500,32 @@ def decode_file(
     # that does not start at chunk 0 has lost its context and searches
     # for it, and missing chunks stand in as zero bytes so that later
     # content keeps its offsets
-    placeholder = bytes(int(windows.max()))
+    placeholder = bytes(int(counts.max()))
     runs = (np.flatnonzero(np.diff(present) != 1) + 1).tolist()
-    pieces, run_distances, amb_windows = [], [], []
-    exact = True  # every window matched a codeword image as received
+    values = np.empty(len(windows), dtype=np.uint8)
+    distances = np.empty(len(windows), dtype=np.uint8)
+    ambiguous = np.empty(len(windows), dtype=bool)
+    pieces = []
     decoded = 0
-    for start, stop in zip([0, *runs], [*runs, len(payloads)]):
+    for start, stop in zip([0, *runs], [*runs, len(present)]):
         first = int(present[start])
-        pieces.append(placeholder * (first - decoded))
-        data, distances, ambiguous, _ = _decode_run(
-            payloads[start:stop], DEFAULT_PREV_BASE if first == 0 else None, images
+        lo, hi = int(ends[start] - counts[start]), int(ends[stop - 1])
+        values[lo:hi], distances[lo:hi], ambiguous[lo:hi], _ = _decode_run(
+            windows[lo:hi],
+            BASE_INDEX[DEFAULT_PREV_BASE] if first == 0 else None,
+            int(counts[start]),
+            images,
         )
-        offset = int(ends[start] - windows[start])
-        pieces.append(data)
-        exact = exact and distances is None
-        run_distances.append(repeat(0, len(data)) if distances is None else distances)
-        amb_windows += [offset + w for w in ambiguous]
+        pieces += [placeholder * (first - decoded), values[lo:hi].tobytes()]
         decoded = int(present[stop - 1]) + 1
     stream_bytes = b"".join(pieces)
-
-    if exact:
-        chunk_distances = list(map(_zero_distances, windows.tolist()))
-    else:
-        flat = list(chain.from_iterable(run_distances))
-        chunk_distances = [
-            flat[end - n : end] for end, n in zip(ends.tolist(), windows.tolist())
-        ]
-    ambiguities = np.bincount(
-        np.searchsorted(ends, amb_windows, side="right"), minlength=len(payloads)
-    )
-    reports = list(
-        map(
-            ChunkDecodeReport,
-            present.tolist(),
-            fid_arr[order].tolist(),
-            parity_arr[order].tolist(),
-            chunk_distances,
-            ambiguities.tolist(),
-        )
+    reports = ChunkReports(
+        present,
+        fid_arr[order],
+        parity_arr[order],
+        distances,
+        ends,
+        np.add.reduceat(ambiguous, ends - counts, dtype=np.int64),
     )
 
     content, declared_size, extension, trailer_ok = split_payload_stream(stream_bytes)

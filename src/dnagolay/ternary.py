@@ -1,8 +1,11 @@
 """Trit and DNA alphabets, validation, and Hamming metrics.
 
-Strings are the working representation: trits as '0'/'1'/'2', DNA as
-upper-case 'A'/'C'/'G'/'T'. Validation happens when values enter the
-library through the parse functions; the metric functions assume
+Strings are the form values take at the library's edges: trits as
+'0'/'1'/'2', DNA as upper-case 'A'/'C'/'G'/'T'. Inside, the codec works
+on uint8 code arrays (:mod:`dnagolay.transcode`) and keeps chunk records
+as columns (:class:`dnagolay.chunks.ChunkBatch`). Validation happens
+when values enter the library, through the parse functions or the code
+tables that stand in for them; the metric functions assume
 already-validated inputs and only check lengths.
 """
 

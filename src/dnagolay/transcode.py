@@ -44,11 +44,10 @@ for _base, _i in BASE_INDEX.items():
     _CHAR_TO_CODE[ord(_base.lower())] = _i
 
 # the code maps as bytes.translate tables, which beat numpy indexing on
-# long sequences: code -> base, character -> code, and character ->
-# upper-case base with NUL for every character that is not a base
-_CODE_TO_BASE = DNA_ALPHABET.encode("ascii").ljust(256, b"\0")
+# long sequences: code -> base, leaving every byte above 3 as it is, and
+# character -> code, with 255 for every character that is not a base
+_CODE_TO_BASE = DNA_ALPHABET.encode("ascii") + bytes(range(len(DNA_ALPHABET), 256))
 _CHAR_TO_CODE_TABLE = _CHAR_TO_CODE.tobytes()
-_CHAR_TO_BASE = bytes(_CODE_TO_BASE[code] for code in _CHAR_TO_CODE.tolist())
 
 _ORD_ZERO = ord("0")
 
@@ -71,8 +70,16 @@ def trit_codes(trits: str) -> np.ndarray:
 
 
 def dna_codes(dna: str) -> np.ndarray:
-    """DNA string -> uint8 array of values 0..3."""
-    codes = bytearray(dna, "ascii").translate(_CHAR_TO_CODE_TABLE)
+    """DNA string of either case -> writable uint8 array of values 0..3.
+
+    Raises :class:`AlphabetError` for any other symbol.
+    """
+    try:
+        codes = bytearray(dna, "ascii").translate(_CHAR_TO_CODE_TABLE)
+    except UnicodeEncodeError:
+        codes = b"\xff"
+    if codes.find(255) >= 0:
+        parse_dna(dna)  # raises AlphabetError naming the symbol
     return np.frombuffer(codes, dtype=np.uint8)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,24 @@ def test_inject_is_seed_deterministic():
 def test_inject_count_exceeding_window_fails():
     with pytest.raises(ValueError, match="window"):
         inject_substitutions("ACGTA", ChannelSpec.fixed_count(6, seed=0))
+
+
+@pytest.mark.parametrize("channel, bound", [("count:1", 7), ("rate:1e-3", 11)])
+def test_inject_substitutions_peak_memory_per_base(codebook, channel, bound):
+    """Peak traced allocation while corrupting the joined payload of a
+    64 KiB file, in bytes per base: the code array and the position
+    arrays, not a stack of full-length copies."""
+    fd = FileDescriptor(content=bytes(range(256)) * 256, extension="bin")
+    dna = "".join(rec.payload_dna for rec in encode_file(fd, codebook))
+    spec = ChannelSpec.parse(channel, seed=3)
+    inject_substitutions(dna, spec)
+    tracemalloc.start()
+    try:
+        inject_substitutions(dna, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / len(dna) <= bound
 
 
 def test_corrupt_records_count_mode_spares_headers(codebook):

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dnagolay.chunks import (
+    ChunkBatch,
     ChunkError,
     ChunkRecord,
     FastaError,
@@ -22,6 +24,7 @@ from dnagolay.chunks import (
     parse_fasta,
     segment_payload,
 )
+from dnagolay.ternary import AlphabetError
 from dnagolay.transcode import dna_to_trits, trits_to_dna
 
 
@@ -224,7 +227,7 @@ def test_encode_file_batch_headers_match_scalar(codebook):
     records = encode_file(fd, codebook)
     assert len(records) > 64
     mu = records[0].mu
-    for rec in records[:5] + records[-5:]:
+    for rec in list(records[:5]) + list(records[-5:]):
         assert rec.header_dna == make_header_dna(0, rec.chunk_index, mu)
 
 
@@ -253,7 +256,7 @@ def test_fasta_interleaved_lengths_emit_like_single_records(codebook):
     small = encode_file(FileDescriptor(content=bytes(30), extension=""), codebook)
     large = encode_file(FileDescriptor(content=bytes(300), extension="", file_id=1), codebook)
     assert small[0].mu != large[0].mu
-    mixed = [rec for pair in zip(small, large) for rec in pair] + large[len(small) :]
+    mixed = [rec for pair in zip(small, large) for rec in pair] + list(large[len(small) :])
     assert emit_fasta(mixed) == "".join(emit_fasta([rec]) for rec in mixed)
 
 
@@ -362,6 +365,69 @@ def test_fasta_wire_format_is_pinned(codebook):
     assert (len(records), records[0].mu, len(records[-1].payload_dna)) == (24, 3, 22)
     digest = hashlib.sha256(emit_fasta(records).encode("ascii")).hexdigest()
     assert digest == "d56e15d4a0958b848c3458da4b72cafee2240845da3c941f37dfb452076045ec"
+
+
+def test_fasta_of_parsed_records_keeps_titles(codebook):
+    """Parsed records do not know their ids; their titles come from
+    their headers, so parsing and emitting again changes nothing."""
+    fd = FileDescriptor(content=bytes(300), extension="", file_id=4)
+    text = emit_fasta(encode_file(fd, codebook))
+    assert emit_fasta(parse_fasta(text)) == text
+
+
+# --- columnar batches ----------------------------------------------------------
+
+def test_chunk_batch_is_a_sequence_of_records(codebook):
+    fd = FileDescriptor(content=bytes(range(200)), extension="bin", file_id=6)
+    batch = encode_file(fd, codebook, chunk_bases=44)
+    # the records one by one, from the string-level helpers
+    payloads = segment_payload(trits_to_dna(build_payload_trits(fd, codebook), "A"), 44)
+    mu = mu_for_segments(len(payloads))
+    expected = [
+        ChunkRecord(payload, make_header_dna(6, k, mu), 6, k) for k, payload in enumerate(payloads)
+    ]
+    assert isinstance(batch, ChunkBatch) and len(batch) == len(expected) > 10
+    assert list(batch) == expected and batch == expected
+    assert batch[0] == expected[0] and batch[-1] == expected[-1] and batch[-3] == expected[-3]
+    assert list(batch[2:9:3]) == expected[2:9:3] and list(batch[::-1]) == expected[::-1]
+    assert ChunkBatch.of(expected) == batch and ChunkBatch.of(batch) is batch
+    with pytest.raises(IndexError):
+        batch[len(batch)]
+    parsed = parse_fasta(emit_fasta(batch), 44)
+    assert [(r.file_id, r.chunk_index) for r in parsed] == [(None, None)] * len(batch)
+    assert [r.sequence for r in parsed] == [r.sequence for r in expected]
+    with pytest.raises(ValueError):
+        batch.codes[0] = 1
+
+
+def test_chunk_batch_of_records_validates_and_upper_cases():
+    batch = ChunkBatch.of([ChunkRecord("acgt", "CGta", 1, None)])
+    assert batch[0] == ChunkRecord("ACGT", "CGTA", 1, None)
+    with pytest.raises(AlphabetError, match="'N'"):
+        ChunkBatch.of([ChunkRecord("ACNT", "CGTA")])
+
+
+def test_emit_fasta_reads_batches_and_record_lists_alike(codebook):
+    small = encode_file(FileDescriptor(content=bytes(30), extension=""), codebook)
+    large = encode_file(FileDescriptor(content=bytes(3000), extension="x", file_id=2), codebook)
+    parsed = parse_fasta(emit_fasta(large))
+    mixed = ChunkBatch.of([rec for pair in zip(small, large) for rec in pair])
+    for batch in (small, large, parsed, mixed):
+        assert emit_fasta(batch) == emit_fasta(list(batch))
+
+
+def test_encode_and_parse_keep_no_object_per_record(codebook):
+    fd = FileDescriptor(content=bytes(range(256)) * 256, extension="bin")  # 64 KiB
+    text = emit_fasta(encode_file(fd, codebook))
+    for make in (lambda: encode_file(fd, codebook), lambda: parse_fasta(text)):
+        make()  # warm any cache first
+        gc.collect()
+        before = len(gc.get_objects())
+        kept = make()
+        gc.collect()
+        assert len(kept) > 6000
+        assert len(gc.get_objects()) - before < 50
+        del kept
 
 
 # --- invariants ---------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from dnagolay.analysis import ChannelSpec, corrupt_records
 from dnagolay.chunks import (
+    ChunkBatch,
     ChunkRecord,
     FileDescriptor,
     emit_fasta,
@@ -214,7 +215,7 @@ def test_decode_file_accepts_shuffled_records(codebook):
     fd = FileDescriptor(content=bytes(range(200)), extension="bin")
     records = encode_file(fd, codebook)
     rng = random.Random(0)
-    shuffled = records[:]
+    shuffled = list(records[:])
     rng.shuffle(shuffled)
     result = decode_file(shuffled, codebook)
     assert result.content == fd.content
@@ -224,7 +225,7 @@ def test_decode_file_accepts_shuffled_records(codebook):
 def test_decode_file_verbatim_duplicates_collapse(codebook):
     fd = FileDescriptor(content=b"dup", extension="")
     records = encode_file(fd, codebook)
-    result = decode_file(records + records, codebook)
+    result = decode_file(list(records) + list(records), codebook)
     assert result.content == b"dup"
     assert result.fully_recovered
 
@@ -237,7 +238,7 @@ def test_decode_file_conflicting_duplicate_raises(codebook):
         header_dna=records[1].header_dna,
     )
     with pytest.raises(DuplicateChunkError) as err:
-        decode_file(records + [clone], codebook)
+        decode_file(list(records) + [clone], codebook)
     assert err.value.chunk_index == 1
 
 
@@ -281,6 +282,57 @@ def test_decode_file_with_gaps_matches_chunk_by_chunk_reference(codebook):
     assert result.content == content[:size]
     assert [rep.to_dict() for rep in result.per_chunk] == reports
     assert any(rep["ambiguities"] or any(rep["codeword_distances"]) for rep in reports)
+
+
+def _outcome(records, codebook):
+    try:
+        result = decode_file(records, codebook)
+    except DecodeError as exc:
+        return type(exc).__name__, str(exc)
+    reports = [rep.to_dict() for rep in result.per_chunk]
+    return (
+        result.content,
+        result.extension,
+        result.size_bytes,
+        result.file_id,
+        result.trailer_ok,
+        result.fully_recovered,
+        result.unrecoverable_chunks,
+        reports,
+        [rep["ambiguities"] for rep in reports],
+    )
+
+
+@pytest.mark.parametrize("channel", [None, "count:1", "count:2", "rate:0.002", "rate:0.02"])
+def test_decode_file_reads_batches_and_record_lists_alike(codebook, channel):
+    content = bytes(random.Random(3).randrange(256) for _ in range(1500))
+    fd = FileDescriptor(content=content, extension="bin")
+    records = encode_file(fd, codebook)
+    if channel is not None:
+        records = corrupt_records(records, ChannelSpec.parse(channel), np.random.default_rng(5))
+    shuffled = list(records)
+    random.Random(1).shuffle(shuffled)
+    gapped = [rec for rec in shuffled if rec.chunk_index % 7 != 2]
+    duplicated = shuffled + shuffled[:4]
+    for case in (list(records), shuffled, gapped, duplicated):
+        assert _outcome(ChunkBatch.of(case), codebook) == _outcome(case, codebook)
+    parsed = parse_fasta(emit_fasta(records))
+    assert _outcome(parsed, codebook) == _outcome(list(records), codebook)
+
+
+def test_per_chunk_reports_are_read_only_columns(codebook):
+    fd = FileDescriptor(content=bytes(range(120)), extension="bin")
+    records = corrupt_records(
+        encode_file(fd, codebook), ChannelSpec.parse("count:1"), np.random.default_rng(2)
+    )
+    result = decode_file(records, codebook)
+    reports = result.per_chunk
+    assert len(reports) == len(records) == len(list(reports))
+    assert reports[-1].chunk_index == len(records) - 1
+    assert reports[1:3] == [reports[1], reports[2]]
+    assert list(reports[0].codeword_distances) == [1] * 9
+    assert int(reports.codeword_distances.sum()) == sum(len(r.payload_dna) for r in records) // 11
+    assert result.fully_recovered
 
 
 def test_decode_file_empty_input(codebook):
