@@ -70,7 +70,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     "AlphabetError",

@@ -33,6 +33,7 @@ DEFAULT_OVERHEAD_BYTES = 22
 DEFAULT_COST_PER_BASE_USD = 0.05
 MEGABYTE = 1_000_000
 HEADER_FIXED_BASES = 3  # two file-id bases plus the parity base
+_DRAW_BLOCK = 1 << 16  # rate-mode draws per block
 
 
 @dataclass(frozen=True)
@@ -100,7 +101,11 @@ def _substitute(
     if rng is None:
         rng = np.random.default_rng(spec.seed)
     if spec.mode == MODE_RATE:
-        positions = np.flatnonzero(rng.random(len(codes)) < spec.rate)
+        # one rng.random(len(codes)), drawn a block at a time (one if empty)
+        positions = np.concatenate([
+            lo + np.flatnonzero(rng.random(min(_DRAW_BLOCK, len(codes) - lo)) < spec.rate)
+            for lo in range(0, len(codes) or 1, _DRAW_BLOCK)
+        ])
     else:
         # Floyd's sampling in all windows at once, one pass per flip: pass
         # j draws t in [0, width - j] and takes width - j, which no earlier

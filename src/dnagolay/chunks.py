@@ -40,7 +40,6 @@ from .transcode import (
     dna_codes,
     encode_rows,
     encode_words,
-    trit_codes,
     trits_to_dna,
 )
 
@@ -268,17 +267,6 @@ class ChunkBatch(_Columns):
         return file_ids, indices, parity_ok
 
 
-def int_to_trits(value: int, width: int) -> str:
-    """Base-3 digits of ``value``, most significant first, zero padded."""
-    if value < 0 or value >= 3**width:
-        raise ChunkError(f"{value} does not fit in {width} trits")
-    digits = []
-    for _ in range(width):
-        digits.append(str(value % 3))
-        value //= 3
-    return "".join(reversed(digits))
-
-
 def mu_for_segments(segment_count: int) -> int:
     """Number of chunk-index trits: ceil(log3(segments)), at least 1."""
     if segment_count < 1:
@@ -340,10 +328,10 @@ def _header_trit_rows(file_id: int, indices, mu: int) -> np.ndarray:
     rem = np.asarray(indices, dtype=np.int64)
     out_of_range = (rem < 0) | (rem >= 3**mu)
     if out_of_range.any():
-        int_to_trits(int(rem[out_of_range][0]), mu)  # raises ChunkError
+        raise ChunkError(f"{int(rem[out_of_range][0])} does not fit in {mu} trits")
+    rem = rem + file_id * 3**mu
     trits = np.empty((len(rem), FILE_ID_TRITS + mu + 1), dtype=np.uint8)
-    trits[:, :FILE_ID_TRITS] = trit_codes(int_to_trits(file_id, FILE_ID_TRITS))
-    for col in range(FILE_ID_TRITS + mu - 1, FILE_ID_TRITS - 1, -1):
+    for col in range(FILE_ID_TRITS + mu - 1, -1, -1):
         rem, trits[:, col] = np.divmod(rem, 3)
     trits[:, -1] = trits[:, :-1:2].sum(axis=1) % 3
     return trits

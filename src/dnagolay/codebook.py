@@ -143,9 +143,6 @@ class ByteCodebook:
             )
         return self._reverse.get(codeword)
 
-    def reverse_map(self) -> dict[str, int]:
-        return dict(self._reverse)
-
     def as_array(self) -> np.ndarray:
         """(256, 11) uint8 matrix of trit values."""
         return _word_matrix(self.codewords)

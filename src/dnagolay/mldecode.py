@@ -1,31 +1,29 @@
 """Error-correcting reverse pipeline: nearest-neighbor decoding in DNA space.
 
-A received 11-base window is compared against the DNA images of all 256
-codewords under the current rotation context and the closest image wins.
-Searching in the DNA domain (instead of converting the window to trits
-first) sidesteps unreadable windows: a corrupted window may contain
-repeated bases that have no trit reading at all.
-
-Ties on DNA distance fall through to a second layer: distance between
-each tied candidate's codeword and the best-effort trit reading of the
-window, with unreadable positions scored as mismatches. If candidates
-remain tied after both layers the decode is flagged ambiguous and the
+A received 11-base window decodes to the codeword whose DNA image under
+the current rotation context is closest. Searching in the DNA domain
+(instead of converting the window to trits first) sidesteps unreadable
+windows: a corrupted window may repeat a base and have no trit reading.
+Ties on DNA distance fall through to the distance between each tied
+codeword and the window's best-effort trit reading, unreadable positions
+scored as mismatches; a tie on both layers is flagged ambiguous and the
 smallest byte value is returned.
 
-One kernel, :func:`_batched_min_stats`, decodes blocks of windows for
-streams, chunks and the audit. A codeword's image after base c is its
-image after 'A' shifted by c (mod 4), and a window's trit reading does
-not change under that shift, so the kernel shifts each window into
-context 'A' and needs one image table. :func:`decode_codeword_ml` is
-its scalar reference.
+A codeword's image after base c is its image after 'A' shifted by c
+(mod 4), and a window's trit reading does not change under that shift,
+so windows are shifted into context 'A' and one image table serves all
+contexts. Images are at least three substitutions apart, so a window
+one substitution or less from an image decodes to it, uniquely. A
+table indexed by the last nine bases of a shifted window names such an
+image; a window that differs from it in at most one base is decoded.
+Every other window goes to the kernel, :func:`_batched_min_stats`, which
+serves streams, chunks and the audit; :func:`decode_codeword_ml` is its
+scalar reference.
 
-Chunks decode sequentially: each corrected window's final base is the
-rotation context for the next window, and the last corrected payload
-base of chunk k-1 seeds chunk k. A stream decodes every window under
-its received context, then re-decodes the windows whose corrected
-predecessor ends in another base until none does; that fixed point is
-the sequential result. When a predecessor chunk is missing, the decoder
-tries all four contexts and keeps the cheapest.
+Chunks decode in sequence: each corrected window's last base is the
+next window's context, and chunk k-1's last corrected base seeds chunk
+k; a stream decodes as the fixed point of :func:`_decode_stream`. After
+a missing chunk, the decoder keeps the cheapest of all four contexts.
 """
 
 from __future__ import annotations
@@ -51,10 +49,10 @@ from .transcode import (
     BASE_INDEX,
     DEFAULT_PREV_BASE,
     codes_to_dna,
+    decode_codes,
     decode_rows,
     dna_codes,
     encode_rows,
-    read_trits_best_effort,
 )
 
 
@@ -181,9 +179,10 @@ class DecodeResult:
         }
 
 
-_MISS = np.uint16(0xFFFF)
 _GROUP = 4  # bases per table index: one 4x4x4x4x256 table per group of columns
 _BLOCK = 512  # windows per kernel block; each (rows, 256) temporary is 128 KiB
+_FIELDS = sum(1 << 2 * col for col in range(CODEWORD_LENGTH))  # low bit of every base field
+_INDEX = 4**9 - 1  # the last nine bases of a window key: its lookup-table index
 
 
 def _group_tables(rows: np.ndarray) -> list[np.ndarray]:
@@ -206,22 +205,51 @@ def _table_distances(windows: np.ndarray, tables: list[np.ndarray]) -> np.ndarra
     )
 
 
+def _window_keys(windows: np.ndarray) -> np.ndarray:
+    """Each row of 11 base codes packed into 22 bits, first base highest."""
+    keys = windows[:, 0].astype(np.uint32)
+    for col in range(1, CODEWORD_LENGTH):
+        keys <<= 2
+        keys |= windows[:, col]
+    return keys
+
+
 class CandidateImages:
     """The codeword trits and their DNA images in context 'A', cached per
-    codebook, with the distance tables of the batched kernel.
-
-    Also carries a base-3 lookup table over all 3^11 trit windows so
-    that uncorrupted payload streams decode in bulk numpy passes.
-    """
+    codebook, with the kernel's distance tables and the radius-1 table:
+    under the last nine bases of every key within one substitution of an
+    image, that image's byte value. The images' own keys are written
+    last, so each image owns its key (images differ in three bases or
+    more, so also in their last nine)."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
         self.images = encode_rows(self.words, 0)
         self.image_tables = _group_tables(self.images)
         self.word_tables = _group_tables(self.words)
-        self.lut = np.full(3**CODEWORD_LENGTH, _MISS, dtype=np.uint16)
-        for value, word in enumerate(codebook.codewords):
-            self.lut[int(word, 3)] = value
+        self.image_keys = _window_keys(self.images)
+        # XOR with 1, 2 or 3 in one field moves its base to each other base
+        flips = np.arange(1, 4, dtype=np.uint32) << 2 * np.arange(CODEWORD_LENGTH)[:, None]
+        near = self.image_keys[:, None] ^ flips.ravel().astype(np.uint32)
+        self.table = np.zeros(_INDEX + 1, dtype=np.uint8)
+        self.table[near & _INDEX] = np.arange(CODE_SIZE)[:, None]
+        self.table[self.image_keys & _INDEX] = np.arange(CODE_SIZE)
+
+    def lookup(self, keys: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Table decode of packed windows received after ``contexts``:
+        (byte values, DNA distances, placed flags). A window is placed
+        when it differs from its value's image in at most one base; the
+        image is then its unique ML decode. Any other window needs the
+        kernel, and its value and distance mean nothing.
+        """
+        # subtract the context in every field by adding its negation: the
+        # low bits add with no carry out of the field, the high bits by XOR
+        negated = ((-contexts) & 3).astype(np.uint32) * np.uint32(_FIELDS)
+        keys = ((keys & _FIELDS) + (negated & _FIELDS)) ^ ((keys ^ negated) & (_FIELDS << 1))
+        values = np.take(self.table, keys & _INDEX)
+        keys ^= np.take(self.image_keys, values)
+        mismatches = (keys | keys >> 1) & _FIELDS  # the low bit of each differing base
+        return values, (mismatches != 0).view(np.uint8), (mismatches & (mismatches - 1)) == 0
 
 
 @lru_cache(maxsize=4)
@@ -247,13 +275,14 @@ def decode_codeword_ml(
         )
     words = candidate_images(codebook).words
     images = encode_rows(words, BASE_INDEX[prev_base])
-    dists = (images != dna_codes(window)).sum(axis=1)
+    received = dna_codes(window)
+    dists = (images != received).sum(axis=1)
     best = int(dists.min())
     tied = np.flatnonzero(dists == best)
 
-    # an unreadable position mismatches every candidate
-    reading = [3 if v is None else v for v in read_trits_best_effort(window, prev_base)]
-    trit_dists = (words[tied] != np.array(reading)).sum(axis=1)
+    # an unreadable position reads as 3, which mismatches every candidate
+    reading = decode_codes(received, BASE_INDEX[prev_base])
+    trit_dists = (words[tied] != reading).sum(axis=1)
     best_trit = int(trit_dists.min())
     finalists = tied[trit_dists == best_trit]
     return DecodedCodeword(
@@ -308,49 +337,43 @@ def _decode_stream(
     Returns (byte values, per-window DNA distances, per-window ambiguous
     flags, final corrected base code).
 
-    An undamaged stream reads back through the trit lookup table in a
-    few array passes; since every window then equals a codeword image
-    under its received context, the corrected stream is the received
-    stream. Otherwise the kernel decodes the windows the table missed,
-    each under its received context. A window's context is the last base
-    of its corrected predecessor, so each further round re-decodes the
-    windows whose predecessor changed that base, until none does. Window
+    A window's context is the last base of its corrected predecessor.
+    Round one looks every window up in the radius-1 table under its
+    received context, on whole arrays; a window it finds exact keeps its
+    last base, so an undamaged stream ends there. Each round, the kernel
+    decodes the misses, except a miss whose context a hit of the same
+    round has just changed: that one waits for the next round, which
+    looks up again every window whose context this round changed. Window
     k's context is final after at most k+1 rounds, so the result is the
     sequential window-by-window decode.
     """
     n = len(windows)
-    contexts = np.empty(n, dtype=np.uint8)
+    keys = _window_keys(windows)
+    # contexts[k] is the last base of window k-1 as last decoded
+    contexts = np.empty(n + 1, dtype=np.uint8)
     contexts[0] = prev_code
-    contexts[1:] = windows[:-1, -1]
-    keys = np.zeros(n, dtype=np.int32)
-    unreadable = np.zeros(n, dtype=bool)
-    before = contexts
-    for col in range(CODEWORD_LENGTH):
-        trits = (windows[:, col] - before - 1) & 3
-        before = windows[:, col]
-        unreadable |= trits == 3
-        keys *= 3
-        keys += trits
-    keys[unreadable] = 0  # keeps the lookup in range; these windows miss
-    values = images.lut[keys]
-    values[unreadable] = _MISS
-    todo = np.flatnonzero(values == _MISS)
-    values = values.astype(np.uint8)
-    distances = np.zeros(n, dtype=np.uint8)
-    ambiguous = np.zeros(n, dtype=bool)
+    contexts[1:] = windows[:, -1]
     last = images.images[:, -1]
+    values, distances, hit = images.lookup(keys, contexts[:-1])
+    ambiguous = np.zeros(n, dtype=bool)
+    todo = np.flatnonzero(distances)
+    hit = hit[todo]
     while todo.size:
-        values[todo], distances[todo], ambiguous[todo] = _batched_min_stats(
-            windows[todo], contexts[todo], images
+        ctx = contexts[todo]
+        moves = hit & (((last[values[todo]] + ctx) & 3) != contexts[todo + 1])
+        run = ~hit
+        run[1:] &= ~(moves[:-1] & (np.diff(todo) == 1))
+        rows = todo[run]
+        values[rows], distances[rows], ambiguous[rows] = _batched_min_stats(
+            windows[rows], ctx[run], images
         )
-        ends = (last[values[todo]] + contexts[todo]) & 3
-        if todo[-1] == n - 1:
-            todo, ends = todo[:-1], ends[:-1]
-        changed = contexts[todo + 1] != ends
-        todo = todo[changed] + 1
-        contexts[todo] = ends[changed]
-    final = int((last[values[-1]] + contexts[-1]) & 3)
-    return values, distances, ambiguous, final
+        moves[run] = ((last[values[rows]] + ctx[run]) & 3) != contexts[rows + 1]
+        todo = todo[moves]
+        contexts[todo + 1] = (last[values[todo]] + contexts[todo]) & 3
+        todo = todo[todo < n - 1] + 1
+        values[todo], distances[todo], hit = images.lookup(keys[todo], contexts[todo])
+        ambiguous[todo] = False
+    return values, distances, ambiguous, int(contexts[n])
 
 
 def _decode_run(

@@ -135,20 +135,6 @@ def dna_to_trits(dna: str, prev_base: str = DEFAULT_PREV_BASE) -> str:
     return (trits + _ORD_ZERO).tobytes().decode("ascii")
 
 
-def read_trits_best_effort(
-    dna: str, prev_base: str = DEFAULT_PREV_BASE
-) -> list[int | None]:
-    """Per-position trit reading with ``None`` at unreadable positions.
-
-    Used by the ML decoder's tie-break layer, where an unreadable
-    position scores as a mismatch against every candidate.
-    """
-    dna = parse_dna(dna)
-    prev_base = parse_dna(prev_base)
-    values = decode_codes(dna_codes(dna), BASE_INDEX[prev_base])
-    return [None if v == 3 else int(v) for v in values]
-
-
 def encode_rows(trit_rows: np.ndarray, prev_code: int) -> np.ndarray:
     """Rotation-encode a (rows, width) trit matrix, one context per row."""
     codes = trit_rows.astype(np.uint8)

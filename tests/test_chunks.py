@@ -17,7 +17,6 @@ from dnagolay.chunks import (
     emit_fasta,
     encode_file,
     header_trits,
-    int_to_trits,
     make_header_dna,
     mu_for_segments,
     parity_trit,
@@ -103,14 +102,6 @@ def test_mu_for_segments():
     assert mu_for_segments(10) == 3
     with pytest.raises(ChunkError):
         mu_for_segments(0)
-
-
-def test_int_to_trits():
-    assert int_to_trits(0, 2) == "00"
-    assert int_to_trits(5, 2) == "12"
-    assert int_to_trits(8, 2) == "22"
-    with pytest.raises(ChunkError):
-        int_to_trits(9, 2)
 
 
 # --- headers ------------------------------------------------------------------

@@ -3,7 +3,9 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dnagolay import mldecode
 from dnagolay.analysis import ChannelSpec, corrupt_records
 from dnagolay.chunks import (
     ChunkBatch,
@@ -18,6 +20,7 @@ from dnagolay.mldecode import (
     DecodeError,
     _batched_min_stats,
     _substitution_patterns,
+    _window_keys,
     audit_substitutions,
     candidate_images,
     decode_chunk,
@@ -27,7 +30,7 @@ from dnagolay.mldecode import (
     split_payload_stream,
 )
 from dnagolay.ternary import dna_hamming
-from dnagolay.transcode import dna_codes, trits_to_dna
+from dnagolay.transcode import codes_to_dna, dna_codes, encode_rows, trits_to_dna
 
 
 def corrupt(window, *flips):
@@ -131,6 +134,74 @@ def test_kernel_matches_scalar_decoder(codebook):
     assert got == expected
     assert sum(amb for _, _, amb in expected) > 50
     assert set(contexts) == {0, 1, 2, 3}
+
+
+def test_lookup_table_matches_kernel_within_radius_one(codebook):
+    """Every window at most one substitution from an image, in every
+    context: the table places all exact windows and nearly all one-flip
+    windows, and each window it places decodes as the kernel decodes it."""
+    images = candidate_images(codebook)
+    patterns = _substitution_patterns(11, 1)
+    windows, contexts = [], []
+    for context in range(4):
+        exact = encode_rows(images.words, context)
+        near = np.repeat(exact, len(patterns), axis=0)
+        rows = np.arange(len(near))
+        pos, off = np.tile(patterns[:, 0], 256), np.tile(patterns[:, 1], 256)
+        near[rows, pos] = (near[rows, pos] + off) & 3
+        windows += [exact, near]
+        contexts += [np.full(len(exact) + len(near), context, dtype=np.uint8)]
+    windows, contexts = np.concatenate(windows), np.concatenate(contexts)
+    assert len(windows) == 4 * 256 * 34
+
+    values, distances, hits = images.lookup(_window_keys(windows), contexts)
+    kernel = _batched_min_stats(windows, contexts, images)
+    assert np.array_equal(values[hits], kernel[0][hits])
+    assert np.array_equal(distances[hits], kernel[1][hits])
+    assert not kernel[2][hits].any()
+    exact = np.zeros(len(windows), dtype=bool)
+    for lo in range(0, len(windows), 256 * 34):
+        exact[lo : lo + 256] = True
+    assert hits[exact].all()
+    assert hits[~exact].mean() > 0.99, hits[~exact].mean()
+
+    # the scalar reference, on a seeded sample of the placed windows
+    rng = random.Random(6)
+    for row in rng.sample(np.flatnonzero(hits).tolist(), 300):
+        decoded = decode_codeword_ml(codes_to_dna(windows[row]), "ACGT"[contexts[row]], codebook)
+        assert (values[row], distances[row]) == (decoded.byte_value, decoded.dna_distance)
+        assert not decoded.ambiguous
+
+
+# a codeword's byte value and context, with up to three bases changed
+# at (position, offset); or, with the byte value None, any window at all
+received_windows = st.tuples(
+    st.one_of(st.none(), st.integers(0, 255)),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(0, 10), st.integers(1, 3)), max_size=3),
+    st.lists(st.integers(0, 3), min_size=11, max_size=11),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(received_windows, min_size=1, max_size=20))
+def test_every_table_hit_agrees_with_kernel(codebook, cases):
+    images = candidate_images(codebook)
+    windows = np.array([window for _, _, _, window in cases], dtype=np.uint8)
+    contexts = np.array([context for _, context, _, _ in cases], dtype=np.uint8)
+    for row, (value, context, flips, _) in enumerate(cases):
+        if value is not None:
+            windows[row] = (images.images[value] + context) & 3
+            for pos, off in flips:
+                windows[row, pos] = (windows[row, pos] + off) & 3
+    values, distances, hits = images.lookup(_window_keys(windows), contexts)
+    kernel_values, kernel_distances, kernel_ambiguous = _batched_min_stats(
+        windows, contexts, images
+    )
+    assert np.array_equal(values[hits], kernel_values[hits])
+    assert np.array_equal(distances[hits], kernel_distances[hits])
+    assert not kernel_ambiguous[hits].any()
+    assert (kernel_distances[~hits] >= 1).all()
 
 
 def test_substitution_pattern_counts():
@@ -359,7 +430,9 @@ def test_decode_result_report_is_json_ready(codebook):
 def test_stream_decode_matches_per_window_reference(codebook):
     """The bulk path and the window-by-window rule must agree under
     corruption, from every starting context; heavy noise makes long
-    chains of context repairs."""
+    chains of context repairs, and one flip in every window makes the
+    table place most windows and defer the successors of those whose
+    last base it corrects."""
     rng = random.Random(31)
     fd = FileDescriptor(content=bytes(rng.randrange(256) for _ in range(45)), extension="")
     record = encode_file(fd, codebook, chunk_bases=99)[0]
@@ -381,7 +454,13 @@ def test_stream_decode_matches_per_window_reference(codebook):
                 flip(pos, payload)
         return "".join(payload)
 
-    for corrupted in (six_flips(), at_rate(0.05), at_rate(0.3)):
+    def one_per_window():
+        payload = list(clean)
+        for lo in range(0, len(payload), 11):
+            flip(lo + rng.randrange(11), payload)
+        return "".join(payload)
+
+    for corrupted in (six_flips(), at_rate(0.05), at_rate(0.3), one_per_window()):
         for start in "ACGT":
             data, report, last = decode_chunk(
                 ChunkRecord(payload_dna=corrupted, header_dna=record.header_dna),
@@ -403,6 +482,28 @@ def test_stream_decode_matches_per_window_reference(codebook):
             assert list(report.codeword_distances) == expected_distances
             assert report.ambiguities == ambiguities
             assert last == ctx
+
+
+@pytest.mark.parametrize("channel, share", [(None, 0), ("count:1", 0.05)])
+def test_stream_decode_sends_few_windows_to_kernel(codebook, monkeypatch, channel, share):
+    """Windows within one substitution of an image decode by table: a
+    clean file sends no window to the kernel, one flip per window only
+    the few the table cannot place and those queued behind them."""
+    rows = []
+
+    def counted(windows, contexts, images):
+        rows.append(len(windows))
+        return _batched_min_stats(windows, contexts, images)
+
+    monkeypatch.setattr(mldecode, "_batched_min_stats", counted)
+    content = np.random.default_rng(8).integers(0, 256, 1 << 16, dtype=np.uint8).tobytes()
+    records = encode_file(FileDescriptor(content=content, extension="bin"), codebook)
+    if channel is not None:
+        records = corrupt_records(records, ChannelSpec.parse(channel), np.random.default_rng(8))
+    result = decode_file(records, codebook)
+    assert result.content == content
+    windows = len(result.per_chunk.codeword_distances)
+    assert sum(rows) <= share * windows
 
 
 def test_audit_single_flip_smoke(codebook):

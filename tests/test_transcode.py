@@ -13,7 +13,6 @@ from dnagolay.transcode import (
     dna_to_trits,
     encode_rows,
     encode_words,
-    read_trits_best_effort,
     trit_codes,
     trits_to_dna,
 )
@@ -79,7 +78,7 @@ def test_decode_rejects_first_base_equal_to_context():
 
 
 def test_read_best_effort_marks_repeats():
-    assert read_trits_best_effort("CC", "A") == [0, None]
+    assert decode_codes(dna_codes("CC"), BASE_INDEX["A"]).tolist() == [0, 3]
 
 
 @given(trit_strings, bases)
