@@ -10,17 +10,13 @@ in almost all configurations.
 
 from .ternary import (
     AlphabetError,
-    dna_hamming,
     parse_dna,
     parse_trits,
-    trit_hamming,
     weight,
 )
 from .transcode import (
     BACKWARD,
     FORWARD,
-    HomopolymerError,
-    dna_to_trits,
     trits_to_dna,
 )
 from .codebook import (
@@ -45,9 +41,7 @@ from .chunks import (
     emit_fasta,
     encode_file,
     make_header_dna,
-    parity_trit,
     parse_fasta,
-    segment_payload,
 )
 from .mldecode import (
     DecodedCodeword,
@@ -70,7 +64,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 __all__ = [
     "AlphabetError",
@@ -91,7 +85,6 @@ __all__ = [
     "FastaError",
     "FileDescriptor",
     "FORWARD",
-    "HomopolymerError",
     "SubcodeReport",
     "audit_substitutions",
     "code_rate",
@@ -99,8 +92,6 @@ __all__ = [
     "decode_chunk",
     "decode_codeword_ml",
     "decode_file",
-    "dna_hamming",
-    "dna_to_trits",
     "emit_fasta",
     "encode_file",
     "greedy_construct",
@@ -110,14 +101,11 @@ __all__ = [
     "load_default_codebook",
     "make_header_dna",
     "monte_carlo_decode",
-    "parity_trit",
     "parse_dna",
     "parse_fasta",
     "parse_trits",
-    "segment_payload",
     "solve_capacity",
     "synthesis_cost",
-    "trit_hamming",
     "trits_to_dna",
     "verify_code",
     "verify_subcode_243",

@@ -17,6 +17,7 @@ from .chunks import (
     ChunkBatch,
     ChunkRecord,
     DEFAULT_CHUNK_BASES,
+    FILE_ID_TRITS,
     FileDescriptor,
     encode_file,
     mu_for_segments,
@@ -32,7 +33,6 @@ DEFAULT_BASES_PER_GRAM = 1.82e21
 DEFAULT_OVERHEAD_BYTES = 22
 DEFAULT_COST_PER_BASE_USD = 0.05
 MEGABYTE = 1_000_000
-HEADER_FIXED_BASES = 3  # two file-id bases plus the parity base
 _DRAW_BLOCK = 1 << 16  # rate-mode draws per block
 
 
@@ -375,7 +375,7 @@ def count_record_bases(
     payload = codewords * CODEWORD_LENGTH
     segments = max(1, -(-payload // chunk_bases))
     mu = mu_for_segments(segments)
-    return payload + segments * (HEADER_FIXED_BASES + mu)
+    return payload + segments * (FILE_ID_TRITS + mu + 1)
 
 
 def cost_curve(

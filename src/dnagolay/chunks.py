@@ -293,30 +293,12 @@ def build_payload_trits(fd: FileDescriptor, codebook: ByteCodebook) -> str:
     return (trits + _ORD_ZERO).tobytes().decode("ascii")
 
 
-def segment_payload(payload_dna: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> list[str]:
-    """Slice payload DNA into chunk_bases-long pieces; the last may be short."""
-    _check_chunk_bases(chunk_bases)
-    if len(payload_dna) % CODEWORD_LENGTH:
-        raise ChunkError(
-            f"payload length {len(payload_dna)} is not a multiple of {CODEWORD_LENGTH}"
-        )
-    return [
-        payload_dna[i : i + chunk_bases]
-        for i in range(0, len(payload_dna), chunk_bases)
-    ]
-
-
 def _check_chunk_bases(chunk_bases: int):
     if chunk_bases < CODEWORD_LENGTH or chunk_bases % CODEWORD_LENGTH:
         raise ChunkError(
             f"chunk size must be a positive multiple of {CODEWORD_LENGTH}, "
             f"got {chunk_bases}"
         )
-
-
-def parity_trit(id_and_index: str) -> int:
-    """Mod-3 sum of the trits at odd (1-based) positions."""
-    return sum(int(id_and_index[i]) for i in range(0, len(id_and_index), 2)) % 3
 
 
 def _header_trit_rows(file_id: int, indices, mu: int) -> np.ndarray:
@@ -337,15 +319,10 @@ def _header_trit_rows(file_id: int, indices, mu: int) -> np.ndarray:
     return trits
 
 
-def header_trits(file_id: int, chunk_index: int, mu: int) -> str:
-    """Header trits for one chunk: file id, chunk index, parity trit."""
-    trits = _header_trit_rows(file_id, [chunk_index], mu)
-    return (trits + _ORD_ZERO).tobytes().decode("ascii")
-
-
 def make_header_dna(file_id: int, chunk_index: int, mu: int) -> str:
     """Header DNA for one chunk, rotation-encoded from a fresh 'A' context."""
-    return trits_to_dna(header_trits(file_id, chunk_index, mu), DEFAULT_PREV_BASE)
+    trits = _header_trit_rows(file_id, [chunk_index], mu)
+    return trits_to_dna((trits + _ORD_ZERO).tobytes().decode("ascii"), DEFAULT_PREV_BASE)
 
 
 def encode_file(
@@ -589,11 +566,6 @@ def _decode_header_rows(codes: np.ndarray):
         if col % 2 == 0:
             parity += trits[:, col]
     return file_ids, indices, ~unreadable & (parity % 3 == trits[:, -1])
-
-
-def decode_headers(headers: Sequence[str]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:meth:`ChunkBatch.decoded_headers` of header strings."""
-    return ChunkBatch.of([ChunkRecord("", header) for header in headers]).decoded_headers()
 
 
 def decode_header(record: ChunkRecord) -> tuple[int, int, bool]:

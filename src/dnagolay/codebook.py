@@ -115,7 +115,6 @@ class ByteCodebook:
 
     codewords: tuple[str, ...]
     load_report: LoadReport = field(default_factory=LoadReport, compare=False)
-    _reverse: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.codewords) != CODE_SIZE:
@@ -124,24 +123,14 @@ class ByteCodebook:
             parse_trits(cw)
             if len(cw) != CODEWORD_LENGTH:
                 raise CodebookError(f"codeword {cw!r} is not length {CODEWORD_LENGTH}")
-        reverse = {cw: value for value, cw in enumerate(self.codewords)}
-        if len(reverse) != CODE_SIZE:
+        if len(set(self.codewords)) != CODE_SIZE:
             raise CodebookError("codewords are not all distinct")
-        object.__setattr__(self, "_reverse", reverse)
 
     def encode_byte(self, value: int) -> str:
         """The unique codeword for a byte value."""
         if not 0 <= value <= 255:
             raise ValueError(f"byte value out of range: {value}")
         return self.codewords[value]
-
-    def decode_byte_exact(self, codeword: str) -> int | None:
-        """Byte value whose codeword equals the input, or None."""
-        if len(codeword) != CODEWORD_LENGTH:
-            raise ValueError(
-                f"codeword must have length {CODEWORD_LENGTH}, got {len(codeword)}"
-            )
-        return self._reverse.get(codeword)
 
     def as_array(self) -> np.ndarray:
         """(256, 11) uint8 matrix of trit values."""

@@ -46,6 +46,7 @@ from .chunks import (
 from .codebook import CODE_SIZE, CODEWORD_LENGTH, ByteCodebook
 from .ternary import DNA_ALPHABET
 from .transcode import (
+    _base_code,
     BASE_INDEX,
     DEFAULT_PREV_BASE,
     codes_to_dna,
@@ -262,7 +263,8 @@ def decode_codeword_ml(
     prev_base: str,
     codebook: ByteCodebook,
 ) -> DecodedCodeword:
-    """Maximum-likelihood decode of one received window.
+    """Maximum-likelihood decode of one received window after the base
+    ``prev_base``, of either case.
 
     Total function: always returns the best candidate; decode quality is
     conveyed through the distances and the ambiguous flag. This is the
@@ -273,15 +275,16 @@ def decode_codeword_ml(
         raise ValueError(
             f"window must have length {CODEWORD_LENGTH}, got {len(window)}"
         )
+    prev_code = _base_code(prev_base)
     words = candidate_images(codebook).words
-    images = encode_rows(words, BASE_INDEX[prev_base])
+    images = encode_rows(words, prev_code)
     received = dna_codes(window)
     dists = (images != received).sum(axis=1)
     best = int(dists.min())
     tied = np.flatnonzero(dists == best)
 
     # an unreadable position reads as 3, which mismatches every candidate
-    reading = decode_codes(received, BASE_INDEX[prev_base])
+    reading = decode_codes(received, prev_code)
     trit_dists = (words[tied] != reading).sum(axis=1)
     best_trit = int(trit_dists.min())
     finalists = tied[trit_dists == best_trit]
@@ -419,8 +422,9 @@ def decode_chunk(
 ) -> tuple[bytes, ChunkDecodeReport, str]:
     """Decode one chunk: literal header decode plus ML payload decode.
 
-    ``prev_base`` is the inherited payload context; pass None to search
-    all four contexts and keep the one with the lowest total distance.
+    ``prev_base`` is the inherited payload context, one base of either
+    case; pass None to search all four contexts and keep the one with
+    the lowest total distance.
     Header damage never aborts the decode: the payload is still
     recovered best-effort and the chunk is flagged via ``parity_ok``.
     """
@@ -429,7 +433,7 @@ def decode_chunk(
     file_ids, indices, parity_ok = batch.decoded_headers()
     values, distances, ambiguous, last = _decode_run(
         windows,
-        None if prev_base is None else BASE_INDEX[prev_base],
+        None if prev_base is None else _base_code(prev_base),
         len(windows),
         candidate_images(codebook),
     )

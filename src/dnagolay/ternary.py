@@ -1,12 +1,12 @@
-"""Trit and DNA alphabets, validation, and Hamming metrics.
+"""Trit and DNA alphabets and their validation.
 
 Strings are the form values take at the library's edges: trits as
 '0'/'1'/'2', DNA as upper-case 'A'/'C'/'G'/'T'. Inside, the codec works
 on uint8 code arrays (:mod:`dnagolay.transcode`) and keeps chunk records
 as columns (:class:`dnagolay.chunks.ChunkBatch`). Validation happens
 when values enter the library, through the parse functions or the code
-tables that stand in for them; the metric functions assume
-already-validated inputs and only check lengths.
+tables that stand in for them; :func:`weight` assumes an
+already-validated input.
 """
 
 from __future__ import annotations
@@ -39,22 +39,6 @@ def parse_dna(text: str) -> str:
         bad = next(ch for ch in seq if ch not in _DNA_SET)
         raise AlphabetError(f"invalid nucleotide {bad!r}")
     return seq
-
-
-def _hamming(a: str, b: str, kind: str) -> int:
-    if len(a) != len(b):
-        raise ValueError(f"{kind} length mismatch: {len(a)} vs {len(b)}")
-    return sum(x != y for x, y in zip(a, b))
-
-
-def trit_hamming(a: str, b: str) -> int:
-    """Number of positions where two equal-length trit strings differ."""
-    return _hamming(a, b, "trit string")
-
-
-def dna_hamming(a: str, b: str) -> int:
-    """Number of positions where two equal-length DNA strings differ."""
-    return _hamming(a, b, "DNA sequence")
 
 
 def weight(codeword: str) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .ternary import DNA_ALPHABET, parse_dna, parse_trits
+from .ternary import DNA_ALPHABET, AlphabetError, parse_dna, parse_trits
 
 DEFAULT_PREV_BASE = "A"
 
@@ -52,16 +52,12 @@ _CHAR_TO_CODE_TABLE = _CHAR_TO_CODE.tobytes()
 _ORD_ZERO = ord("0")
 
 
-class HomopolymerError(ValueError):
-    """A base repeats its predecessor where the code forbids it.
-
-    ``position`` is 1-based; position 1 means the first base equals the
-    caller-supplied previous-base context.
-    """
-
-    def __init__(self, position: int):
-        super().__init__(f"adjacent equal bases at position {position}")
-        self.position = position
+def _base_code(base: str) -> int:
+    """Code 0..3 of one base of either case; raises AlphabetError otherwise."""
+    code = BASE_INDEX.get(parse_dna(base))
+    if code is None:
+        raise AlphabetError(f"expected one nucleotide, got {base!r}")
+    return code
 
 
 def trit_codes(trits: str) -> np.ndarray:
@@ -111,28 +107,10 @@ def trits_to_dna(trits: str, prev_base: str = DEFAULT_PREV_BASE) -> str:
     ``prev_base``, and contains no two equal adjacent bases.
     """
     trits = parse_trits(trits)
-    prev_base = parse_dna(prev_base)
+    prev_code = _base_code(prev_base)
     if not trits:
         return ""
-    return codes_to_dna(encode_codes(trit_codes(trits), BASE_INDEX[prev_base]))
-
-
-def dna_to_trits(dna: str, prev_base: str = DEFAULT_PREV_BASE) -> str:
-    """Exact inverse of :func:`trits_to_dna` under the same context.
-
-    Raises :class:`HomopolymerError` when a base equals its predecessor
-    (including the first base equalling ``prev_base``), which cannot
-    occur in uncorrupted output of the encoder.
-    """
-    dna = parse_dna(dna)
-    prev_base = parse_dna(prev_base)
-    if not dna:
-        return ""
-    trits = decode_codes(dna_codes(dna), BASE_INDEX[prev_base])
-    bad = np.flatnonzero(trits == 3)
-    if bad.size:
-        raise HomopolymerError(int(bad[0]) + 1)
-    return (trits + _ORD_ZERO).tobytes().decode("ascii")
+    return codes_to_dna(encode_codes(trit_codes(trits), prev_code))
 
 
 def encode_rows(trit_rows: np.ndarray, prev_code: int) -> np.ndarray:

@@ -20,8 +20,8 @@ from dnagolay.analysis import (
 )
 from dnagolay.chunks import ChunkRecord, FileDescriptor, encode_file
 from dnagolay.mldecode import decode_file
-from dnagolay.ternary import dna_hamming
 from dnagolay.transcode import codes_to_dna
+from hamming import hamming
 
 
 # --- channel specs -----------------------------------------------------------
@@ -56,7 +56,7 @@ def test_inject_fixed_count_per_window():
             out = inject_substitutions(seq, ChannelSpec.fixed_count(count, seed=5))
             assert len(out) == len(seq)
             for lo in range(0, len(seq), 11):
-                assert dna_hamming(seq[lo : lo + 11], out[lo : lo + 11]) == count
+                assert hamming(seq[lo : lo + 11], out[lo : lo + 11]) == count
 
 
 def test_inject_count_mode_samples_positions_uniformly():
@@ -150,7 +150,7 @@ def test_corrupt_records_count_mode_spares_headers(codebook):
     assert all(a.header_dna == b.header_dna for a, b in zip(records, corrupted))
     for a, b in zip(records, corrupted):
         for lo in range(0, len(a.payload_dna), 11):
-            assert dna_hamming(a.payload_dna[lo : lo + 11], b.payload_dna[lo : lo + 11]) == 1
+            assert hamming(a.payload_dna[lo : lo + 11], b.payload_dna[lo : lo + 11]) == 1
 
     # payloads are joined, so one that is not whole windows would shift
     # every later window; it is rejected wherever it stands
@@ -275,11 +275,12 @@ def test_synthesis_cost():
 
 
 def test_count_record_bases_matches_encoder(codebook):
-    for size, ext in [(0, ""), (1, "x"), (17, "txt"), (1024, "bin")]:
-        fd = FileDescriptor(content=bytes(size), extension=ext)
-        records = encode_file(fd, codebook)
-        actual = sum(rec.total_length for rec in records)
-        assert count_record_bases(size, ext) == actual
+    for chunk_bases in (11, 99, 198, 990):
+        for size, ext in [(0, ""), (1, "x"), (17, "txt"), (1024, "bin")]:
+            fd = FileDescriptor(content=bytes(size), extension=ext)
+            records = encode_file(fd, codebook, chunk_bases)
+            actual = sum(rec.total_length for rec in records)
+            assert count_record_bases(size, ext, chunk_bases) == actual
 
 
 def test_cost_curve_pinned_values():

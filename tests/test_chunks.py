@@ -13,22 +13,34 @@ from dnagolay.chunks import (
     FileDescriptor,
     build_payload_trits,
     decode_header,
-    decode_headers,
     emit_fasta,
     encode_file,
-    header_trits,
     make_header_dna,
     mu_for_segments,
-    parity_trit,
     parse_fasta,
-    segment_payload,
 )
 from dnagolay.ternary import AlphabetError
-from dnagolay.transcode import dna_to_trits, trits_to_dna
+from dnagolay.transcode import BASE_INDEX, decode_codes, dna_codes, trits_to_dna
 
 
 def cw(codebook, char):
     return codebook.encode_byte(ord(char) if isinstance(char, str) else char)
+
+
+def read_trits(dna):
+    """The trits of DNA written after an 'A', with 3 for a repeated base."""
+    return "".join(map(str, decode_codes(dna_codes(dna), BASE_INDEX["A"]).tolist()))
+
+
+def header_trits(file_id, chunk_index, mu):
+    return read_trits(make_header_dna(file_id, chunk_index, mu))
+
+
+def segments(codebook, size):
+    """The payload DNA of a file of ``size`` zero bytes, and its chunks."""
+    fd = FileDescriptor(content=bytes(size))
+    stream = trits_to_dna(build_payload_trits(fd, codebook), "A")
+    return stream, [record.payload_dna for record in encode_file(fd, codebook)]
 
 
 # --- payload layout -----------------------------------------------------------
@@ -69,29 +81,27 @@ def test_file_descriptor_validation():
 
 # --- segmentation -------------------------------------------------------------
 
-def test_segment_exact_chunk():
-    payload = "AC" * 44 + "ACGACGACGAC"  # 99 bases
-    assert segment_payload(payload) == [payload]
+def test_segment_exact_chunk(codebook):
+    stream, pieces = segments(codebook, 5)
+    assert len(stream) == 99
+    assert pieces == [stream]
 
 
-def test_segment_with_remainder():
-    payload = "A" * 99 + "C" * 11
-    assert segment_payload(payload) == ["A" * 99, "C" * 11]
+def test_segment_with_remainder(codebook):
+    stream, pieces = segments(codebook, 6)
+    assert len(stream) == 110
+    assert pieces == [stream[:99], stream[99:]]
 
 
-def test_segment_short_single():
-    payload = "AC" * 11  # 22 bases
-    assert segment_payload(payload) == [payload]
+def test_segment_short_single(codebook):
+    stream, pieces = segments(codebook, 0)
+    assert len(stream) == 44
+    assert pieces == [stream]
 
 
-def test_segment_rejects_partial_codewords():
-    with pytest.raises(ChunkError, match="multiple of 11"):
-        segment_payload("A" * 100)
-
-
-def test_segment_rejects_bad_chunk_size():
+def test_segment_rejects_bad_chunk_size(codebook):
     with pytest.raises(ChunkError, match="chunk size"):
-        segment_payload("A" * 22, chunk_bases=20)
+        encode_file(FileDescriptor(content=b"DA"), codebook, chunk_bases=20)
 
 
 def test_mu_for_segments():
@@ -107,9 +117,11 @@ def test_mu_for_segments():
 # --- headers ------------------------------------------------------------------
 
 def test_parity_trit_rule():
-    assert parity_trit("000") == 0
-    assert parity_trit("001") == 1
-    assert parity_trit("1220") == 0
+    # the parity trit is the mod-3 sum of the id and index trits at odd
+    # (1-based) positions: 000 -> 0, 001 -> 1, 1220 -> 0
+    assert header_trits(0, 0, 1)[-1] == "0"
+    assert header_trits(0, 1, 1)[-1] == "1"
+    assert header_trits(5, 6, 2)[-1] == "0"
 
 
 def test_header_trits_layout():
@@ -161,7 +173,9 @@ def test_decode_headers_matches_scalar_across_widths():
         for fid, index in ((0, 0), (8, 2), (4, 1))
     ]
     headers += ["CCTA", make_header_dna(0, 1, 1)[:3] + "C"]  # unreadable, parity damage
-    file_ids, indices, parity_ok = decode_headers(headers)
+    file_ids, indices, parity_ok = ChunkBatch.of(
+        [ChunkRecord("", header) for header in headers]
+    ).decoded_headers()
     got = list(zip(file_ids.tolist(), indices.tolist(), parity_ok.tolist()))
     assert got == [decode_header(ChunkRecord(payload_dna="", header_dna=h)) for h in headers]
 
@@ -187,7 +201,7 @@ def test_encode_file_payload_is_continuous(codebook):
     # continuous rotation stream: homopolymer-free across chunk boundaries
     chained = "A" + stream
     assert all(chained[i] != chained[i + 1] for i in range(len(stream)))
-    assert dna_to_trits(stream, "A") == build_payload_trits(fd, codebook)
+    assert read_trits(stream) == build_payload_trits(fd, codebook)
 
 
 def test_encode_file_empty(codebook):
@@ -372,7 +386,8 @@ def test_chunk_batch_is_a_sequence_of_records(codebook):
     fd = FileDescriptor(content=bytes(range(200)), extension="bin", file_id=6)
     batch = encode_file(fd, codebook, chunk_bases=44)
     # the records one by one, from the string-level helpers
-    payloads = segment_payload(trits_to_dna(build_payload_trits(fd, codebook), "A"), 44)
+    stream = trits_to_dna(build_payload_trits(fd, codebook), "A")
+    payloads = [stream[i : i + 44] for i in range(0, len(stream), 44)]
     mu = mu_for_segments(len(payloads))
     expected = [
         ChunkRecord(payload, make_header_dna(6, k, mu), 6, k) for k, payload in enumerate(payloads)

@@ -29,8 +29,9 @@ from dnagolay.mldecode import (
     minimum_image_distance,
     split_payload_stream,
 )
-from dnagolay.ternary import dna_hamming
+from dnagolay.ternary import AlphabetError
 from dnagolay.transcode import codes_to_dna, dna_codes, encode_rows, trits_to_dna
+from hamming import hamming
 
 
 def corrupt(window, *flips):
@@ -73,9 +74,9 @@ def test_decode_distance_invariant(codebook):
         decoded = decode_codeword_ml(window, prev, codebook)
         expected = trits_to_dna(codebook.codewords[decoded.byte_value], prev)
         assert decoded.corrected_window == expected
-        assert decoded.dna_distance == dna_hamming(window, decoded.corrected_window)
+        assert decoded.dna_distance == hamming(window, decoded.corrected_window)
         others = (
-            dna_hamming(window, trits_to_dna(word, prev)) for word in codebook.codewords
+            hamming(window, trits_to_dna(word, prev)) for word in codebook.codewords
         )
         assert decoded.dna_distance == min(others)
 
@@ -236,6 +237,20 @@ def test_decode_chunk_rejects_partial_payload(codebook):
     record = ChunkRecord(payload_dna="ACGT", header_dna="CGTA")
     with pytest.raises(DecodeError):
         decode_chunk(record, codebook)
+
+
+def test_context_base_is_read_like_trits_to_dna(codebook):
+    record = encode_file(FileDescriptor(content=b"hello", extension=""), codebook)[0]
+    window = record.payload_dna[:11]
+    assert decode_codeword_ml(window, "c", codebook) == decode_codeword_ml(window, "C", codebook)
+    assert decode_chunk(record, codebook, "c") == decode_chunk(record, codebook, "C")
+    for bad in ("N", "AC", ""):
+        with pytest.raises(AlphabetError):
+            decode_codeword_ml(window, bad, codebook)
+        with pytest.raises(AlphabetError):
+            decode_chunk(record, codebook, bad)
+        with pytest.raises(AlphabetError):
+            trits_to_dna("", bad)
 
 
 def test_decode_chunk_rejects_non_dna_symbol(codebook):
