@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import islice, product
 
 import numpy as np
 
@@ -267,22 +268,10 @@ def verify_code(codewords: Iterable[str], spec: CodeFamilySpec) -> CodeReport:
         raise ValueError(f"codewords have mixed lengths: {sorted(lengths)}")
     length = lengths.pop()
 
-    if len(words) == 1:
-        ok = length == spec.length and len(words) >= spec.size
-        return CodeReport(
-            spec=spec,
-            length=length,
-            size=1,
-            d_min=None,
-            distance_histogram={},
-            violations=(),
-            ok=ok,
-        )
-
-    matrix = _pairwise_distances(_word_matrix(words))
+    # a single word has no pairs, so no minimum distance
     iu = np.triu_indices(len(words), k=1)
-    dists = matrix[iu]
-    d_min = int(dists.min())
+    dists = _pairwise_distances(_word_matrix(words))[iu]
+    d_min = int(dists.min()) if dists.size else None
     histogram = {
         int(d): int(c) for d, c in zip(*np.unique(dists, return_counts=True))
     }
@@ -293,7 +282,7 @@ def verify_code(codewords: Iterable[str], spec: CodeFamilySpec) -> CodeReport:
     ok = (
         length == spec.length
         and len(words) >= spec.size
-        and d_min >= spec.min_distance
+        and (d_min is None or d_min >= spec.min_distance)
     )
     return CodeReport(
         spec=spec,
@@ -391,19 +380,9 @@ def greedy_construct(
         return True
 
     if order == "lex":
-        cand = np.zeros(n, dtype=np.uint8)
-        seen = 0
-        while seen < min(total, max_candidates):
-            try_keep(cand)
-            if count == spec.size:
+        for cand in islice(product(range(3), repeat=n), max_candidates):
+            if try_keep(np.array(cand, dtype=np.uint8)) and count == spec.size:
                 break
-            seen += 1
-            # increment the trit odometer, most significant digit first
-            for pos in range(n - 1, -1, -1):
-                if cand[pos] < 2:
-                    cand[pos] += 1
-                    break
-                cand[pos] = 0
     else:
         rng = np.random.default_rng(seed)
         drawn = 0

@@ -12,13 +12,15 @@ smallest byte value is returned.
 A codeword's image after base c is its image after 'A' shifted by c
 (mod 4), and a window's trit reading does not change under that shift,
 so windows are shifted into context 'A' and one image table serves all
-contexts. Images are at least three substitutions apart, so a window
-one substitution or less from an image decodes to it, uniquely. A
-table indexed by the last nine bases of a shifted window names such an
-image; a window that differs from it in at most one base is decoded.
-Every other window goes to the kernel, :func:`_batched_min_stats`, which
-serves streams, chunks and the audit; :func:`decode_codeword_ml` is its
-scalar reference.
+contexts. A table indexed by the last nine bases of a shifted window
+names an image, and a window equal to it is decoded; so is a window one
+base from it, when images are at least three substitutions apart and
+such a window decodes to it uniquely. Every other window goes to the
+kernel, :func:`_batched_min_stats`, which serves streams, chunks and the
+audit; :func:`decode_codeword_ml` is its scalar reference. The kernel
+sums three uint16 table rows per window into ``distance << 9 | index``
+for all 256 images: one row minimum gives the distance and the nearest
+image, and a second one any tie.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -180,30 +182,51 @@ class DecodeResult:
         }
 
 
-_GROUP = 4  # bases per table index: one 4x4x4x4x256 table per group of columns
-_BLOCK = 512  # windows per kernel block; each (rows, 256) temporary is 128 KiB
+_GROUP = 4  # bases per table index: one 4^4 x 256 table per group of columns
+_BLOCK = 1024  # windows per kernel block; each (rows, 256) uint16 buffer is 512 KiB
+_SHIFT = 9  # a packed table entry is mismatches << _SHIFT, plus the image index
 _FIELDS = sum(1 << 2 * col for col in range(CODEWORD_LENGTH))  # low bit of every base field
 _INDEX = 4**9 - 1  # the last nine bases of a window key: its lookup-table index
+_COLUMNS = np.arange(CODEWORD_LENGTH, dtype=np.uint8)
+# the weight of each base in each group's table index, one column per group
+_GROUP_WEIGHTS = np.eye(-(-CODEWORD_LENGTH // _GROUP), dtype=np.uint8)[_COLUMNS // _GROUP]
+_GROUP_WEIGHTS <<= 2 * (_COLUMNS[:, None] % _GROUP)
 
 
-def _group_tables(rows: np.ndarray) -> list[np.ndarray]:
+def _packed_tables(rows: np.ndarray) -> list[np.ndarray]:
     """Per group of up to ``_GROUP`` columns of the (256, 11) ``rows``, one
-    table indexed by the group's values: the mismatch count with each row."""
+    uint16 table indexed by the group's values: the mismatch count with
+    each row << ``_SHIFT``, plus the row's index in the first table only;
+    so a window's entries sum to ``distance << _SHIFT | index``."""
     tables = []
     for lo in range(0, CODEWORD_LENGTH, _GROUP):
         cols = rows[:, lo : lo + _GROUP].T
-        keys = np.indices((4,) * len(cols))
-        tables.append(sum(k[..., None] != col for k, col in zip(keys, cols)).astype(np.uint8))
+        # the group's values under each index, as weighted by _GROUP_WEIGHTS
+        keys = (np.arange(4 ** len(cols))[:, None] >> 2 * np.arange(len(cols))) & 3
+        mismatches = sum(key[:, None] != col for key, col in zip(keys.T, cols))
+        tables.append(mismatches.astype(np.uint16) << _SHIFT)
+    tables[0] |= np.arange(CODE_SIZE, dtype=np.uint16)
     return tables
 
 
-def _table_distances(windows: np.ndarray, tables: list[np.ndarray]) -> np.ndarray:
-    """(windows, 256) Hamming distances of rows of values 0..3 to the rows
-    the tables were built from, one lookup per group of columns."""
-    return sum(
-        table[tuple(windows[:, lo : lo + _GROUP].T)]
-        for lo, table in zip(range(0, CODEWORD_LENGTH, _GROUP), tables)
-    )
+def _gather(rows: np.ndarray, tables: list[np.ndarray], out=None, part=None) -> np.ndarray:
+    """(rows, 256) packed distances of rows of values 0..3 to the rows the
+    tables were built from, into the buffers ``out`` and ``part`` if given."""
+    indices = (rows @ _GROUP_WEIGHTS).T
+    packed = np.take(tables[0], indices[0], axis=0, out=out, mode="clip")
+    for table, index in zip(tables[1:], indices[1:]):
+        packed += np.take(table, index, axis=0, out=part, mode="clip")
+    return packed
+
+
+def _nearest(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row minima of ``packed`` (distance << _SHIFT | index), so distances
+    and lowest nearest indices, and whether another column ties each on
+    distance. Subtracting the minimum plus one, in place, leaves a tied
+    column below 255, the minimum at 0xFFFF and farther columns at 256 up."""
+    best = packed.min(axis=1)
+    packed -= (best + 1)[:, None]
+    return best, packed.min(axis=1) < CODE_SIZE - 1
 
 
 def _window_keys(windows: np.ndarray) -> np.ndarray:
@@ -217,31 +240,38 @@ def _window_keys(windows: np.ndarray) -> np.ndarray:
 
 class CandidateImages:
     """The codeword trits and their DNA images in context 'A', cached per
-    codebook, with the kernel's distance tables and the radius-1 table:
-    under the last nine bases of every key within one substitution of an
-    image, that image's byte value. The images' own keys are written
-    last, so each image owns its key (images differ in three bases or
-    more, so also in their last nine)."""
+    codebook, with the kernel's packed tables of both and the radius-1
+    table: the byte value of an image under the last nine bases of every
+    key within ``radius`` substitutions of it. ``radius`` is 1 when images
+    are at least 3 apart, which makes the image such a window's unique
+    decode, and else 0. Images' own keys are written last, so each image
+    owns its key unless another image shares its last nine bases."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
         self.images = encode_rows(self.words, 0)
-        self.image_tables = _group_tables(self.images)
-        self.word_tables = _group_tables(self.words)
+        self.image_tables = _packed_tables(self.images)
+        self.word_tables = _packed_tables(self.words)
         self.image_keys = _window_keys(self.images)
-        # XOR with 1, 2 or 3 in one field moves its base to each other base
-        flips = np.arange(1, 4, dtype=np.uint32) << 2 * np.arange(CODEWORD_LENGTH)[:, None]
-        near = self.image_keys[:, None] ^ flips.ravel().astype(np.uint32)
+        # the least DNA distance of two images, which no context shift changes
+        pairs = _gather(self.images, self.image_tables)
+        np.fill_diagonal(pairs, 0xFFFF)
+        self.min_distance = int(pairs.min()) >> _SHIFT
+        self.radius = min(1, (self.min_distance - 1) // 2)
         self.table = np.zeros(_INDEX + 1, dtype=np.uint8)
-        self.table[near & _INDEX] = np.arange(CODE_SIZE)[:, None]
+        if self.radius:
+            # XOR with 1, 2 or 3 in one field moves its base to each other base
+            flips = np.arange(1, 4, dtype=np.uint32) << 2 * np.arange(CODEWORD_LENGTH)[:, None]
+            near = self.image_keys[:, None] ^ flips.ravel().astype(np.uint32)
+            self.table[near & _INDEX] = np.arange(CODE_SIZE)[:, None]
         self.table[self.image_keys & _INDEX] = np.arange(CODE_SIZE)
 
     def lookup(self, keys: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
         """Table decode of packed windows received after ``contexts``:
         (byte values, DNA distances, placed flags). A window is placed
-        when it differs from its value's image in at most one base; the
-        image is then its unique ML decode. Any other window needs the
-        kernel, and its value and distance mean nothing.
+        when it differs from its value's image in at most ``radius``
+        bases; the image is then its unique ML decode. Any other window
+        needs the kernel, and its value and distance mean nothing.
         """
         # subtract the context in every field by adding its negation: the
         # low bits add with no carry out of the field, the high bits by XOR
@@ -250,7 +280,9 @@ class CandidateImages:
         values = np.take(self.table, keys & _INDEX)
         keys ^= np.take(self.image_keys, values)
         mismatches = (keys | keys >> 1) & _FIELDS  # the low bit of each differing base
-        return values, (mismatches != 0).view(np.uint8), (mismatches & (mismatches - 1)) == 0
+        # radius 1 clears the lowest set bit, so a single mismatch passes
+        placed = (mismatches & (mismatches - self.radius)) == 0
+        return values, (mismatches != 0).view(np.uint8), placed
 
 
 @lru_cache(maxsize=4)
@@ -303,31 +335,34 @@ def _batched_min_stats(
     """Two-layer ML decode of rows of base codes, each received after its
     context base code: (byte values, DNA distances, ambiguous flags).
 
-    Each row is shifted into context 'A'. Only the rows tied on DNA
-    distance take the trit layer, inside the same block.
+    Each row is shifted into context 'A' and its packed distances to all
+    images summed from the image tables; :func:`_nearest` reads the
+    distance, the lowest-index nearest image and a tie flag from them.
+    Only the tied rows take the trit layer, inside the same block: the
+    same search over the word tables, with untied images set to 0xFFFF.
     """
     n = len(windows)
     contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
     values = np.empty(n, dtype=np.uint8)
     distances = np.empty(n, dtype=np.uint8)
     ambiguous = np.zeros(n, dtype=bool)
+    buffers = np.empty((2, min(n, _BLOCK), CODE_SIZE), dtype=np.uint16)
     for start in range(0, n, _BLOCK):
         stop = min(n, start + _BLOCK)
         shifted = (windows[start:stop] - contexts[start:stop, None]) & 3
-        dist = _table_distances(shifted, images.image_tables)
-        best = dist.min(axis=1)
-        tied = dist == best[:, None]
-        arg = tied.argmax(axis=1)
-        rows = np.flatnonzero(tied.sum(axis=1) > 1)
+        packed = _gather(shifted, images.image_tables, *buffers[:, : stop - start])
+        best, tied = _nearest(packed)
+        values[start:stop] = best & 0xFF
+        distances[start:stop] = best >> _SHIFT
+        rows = np.flatnonzero(tied)
         if rows.size:
-            # an unreadable position reads as 3, which matches no trit
-            trit_dist = _table_distances(decode_rows(shifted[rows], 0), images.word_tables)
-            trit_dist[~tied[rows]] = CODEWORD_LENGTH + 1
-            finalists = trit_dist == trit_dist.min(axis=1)[:, None]
-            arg[rows] = finalists.argmax(axis=1)
-            ambiguous[start + rows] = finalists.sum(axis=1) > 1
-        values[start:stop] = arg
-        distances[start:stop] = best
+            # _nearest left a tied image below 255, or at 0xFFFF for the
+            # nearest; an unreadable position reads as 3, which matches no trit
+            untied = packed[rows] + 1 >= CODE_SIZE
+            packed = _gather(decode_rows(shifted[rows], 0), images.word_tables)
+            packed[untied] = 0xFFFF
+            best, ambiguous[start + rows] = _nearest(packed)
+            values[start + rows] = best & 0xFF
     return values, distances, ambiguous
 
 
@@ -589,13 +624,11 @@ def _substitution_patterns(positions: int, flips: int) -> np.ndarray:
     Rows hold (p1, o1, p2, o2, ...) with positions strictly increasing
     and offsets in 1..3 (a substituted base never maps to itself).
     """
-    rows = []
-    for pos in combinations(range(positions), flips):
-        for offs in product((1, 2, 3), repeat=flips):
-            row = []
-            for p, o in zip(pos, offs):
-                row.extend((p, o))
-            rows.append(row)
+    rows = [
+        [x for pair in zip(pos, offs) for x in pair]
+        for pos in combinations(range(positions), flips)
+        for offs in product((1, 2, 3), repeat=flips)
+    ]
     return np.array(rows, dtype=np.int64)
 
 
@@ -610,15 +643,15 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     """
     patterns = _substitution_patterns(CODEWORD_LENGTH, flips)
     images = candidate_images(codebook)
-    truth = np.repeat(np.arange(CODE_SIZE), len(patterns))
-    rows = np.arange(len(truth))
+    # each pattern as the offset it adds to each base of an image
+    offsets = np.zeros((len(patterns), CODEWORD_LENGTH), dtype=np.uint8)
+    for f in range(flips):
+        offsets[np.arange(len(patterns)), patterns[:, 2 * f]] = patterns[:, 2 * f + 1]
+    truth = np.repeat(np.arange(CODE_SIZE, dtype=np.uint8), len(patterns))
     cases = unique_correct = ambiguous = miscorrected = 0
     for context in range(len(DNA_ALPHABET)):
-        windows = np.repeat(encode_rows(images.words, context), len(patterns), axis=0)
-        for f in range(flips):
-            pos = np.tile(patterns[:, 2 * f], CODE_SIZE)
-            off = np.tile(patterns[:, 2 * f + 1], CODE_SIZE)
-            windows[rows, pos] = (windows[rows, pos] + off) & 3
+        windows = (encode_rows(images.words, context)[:, None] + offsets) & 3
+        windows = windows.reshape(-1, CODEWORD_LENGTH)
         values, _, flagged = _batched_min_stats(windows, context, images)
         cases += len(windows)
         unique_correct += int(((values == truth) & ~flagged).sum())
@@ -630,15 +663,3 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
         ambiguous=ambiguous,
         miscorrected=miscorrected,
     )
-
-
-def minimum_image_distance(codebook: ByteCodebook) -> int:
-    """Smallest pairwise DNA distance between codeword images.
-
-    Shifting every image by the context base keeps pairwise distances,
-    so context 'A' stands for all four.
-    """
-    images = candidate_images(codebook)
-    d = _table_distances(images.images, images.image_tables)
-    np.fill_diagonal(d, CODEWORD_LENGTH + 1)
-    return int(d.min())

@@ -15,6 +15,7 @@ from dnagolay.chunks import (
     encode_file,
     parse_fasta,
 )
+from dnagolay.codebook import CodeFamilySpec, greedy_construct, load_codebook
 from dnagolay.mldecode import (
     DuplicateChunkError,
     DecodeError,
@@ -26,12 +27,19 @@ from dnagolay.mldecode import (
     decode_chunk,
     decode_codeword_ml,
     decode_file,
-    minimum_image_distance,
     split_payload_stream,
 )
-from dnagolay.ternary import AlphabetError
+from dnagolay.ternary import AlphabetError, weight
 from dnagolay.transcode import codes_to_dna, dna_codes, encode_rows, trits_to_dna
 from hamming import hamming
+
+
+@pytest.fixture(scope="module")
+def lexicode():
+    """The (11,256,3) lexicode as a codebook: a valid user codebook whose
+    DNA images are only two substitutions apart."""
+    words = greedy_construct(CodeFamilySpec.parse("11,256,3"))
+    return load_codebook("\n".join(f"{i} {w} {weight(w)}" for i, w in enumerate(words)))
 
 
 def corrupt(window, *flips):
@@ -94,7 +102,7 @@ def test_decode_pinned_ambiguous_window(codebook):
 
 
 def test_minimum_image_distance_supports_single_flip_correction(codebook):
-    assert minimum_image_distance(codebook) == 3
+    assert candidate_images(codebook).min_distance == 3
 
 
 def test_single_substitutions_sampled(codebook):
@@ -137,22 +145,41 @@ def test_kernel_matches_scalar_decoder(codebook):
     assert set(contexts) == {0, 1, 2, 3}
 
 
+def flipped_windows(images, flips, values=slice(None)):
+    """Every window ``flips`` substitutions from the images of ``values``
+    (all by default), in every context: (windows, contexts)."""
+    patterns = _substitution_patterns(11, flips)
+    words = images.words[values]
+    windows, contexts = [], []
+    for context in range(4):
+        near = np.repeat(encode_rows(words, context), len(patterns), axis=0)
+        rows = np.arange(len(near))
+        for f in range(flips):
+            pos = np.tile(patterns[:, 2 * f], len(words))
+            off = np.tile(patterns[:, 2 * f + 1], len(words))
+            near[rows, pos] = (near[rows, pos] + off) & 3
+        windows.append(near)
+        contexts.append(np.full(len(near), context, dtype=np.uint8))
+    return np.concatenate(windows), np.concatenate(contexts)
+
+
+def radius_one_windows(images):
+    """Every window at most one substitution from an image, in every
+    context: (windows, contexts, exact flags)."""
+    near, near_contexts = flipped_windows(images, 1)
+    exact = np.concatenate([encode_rows(images.words, context) for context in range(4)])
+    windows = np.concatenate([exact, near])
+    contexts = np.concatenate([np.repeat(np.arange(4, dtype=np.uint8), 256), near_contexts])
+    return windows, contexts, np.arange(len(windows)) < len(exact)
+
+
 def test_lookup_table_matches_kernel_within_radius_one(codebook):
     """Every window at most one substitution from an image, in every
     context: the table places all exact windows and nearly all one-flip
     windows, and each window it places decodes as the kernel decodes it."""
     images = candidate_images(codebook)
-    patterns = _substitution_patterns(11, 1)
-    windows, contexts = [], []
-    for context in range(4):
-        exact = encode_rows(images.words, context)
-        near = np.repeat(exact, len(patterns), axis=0)
-        rows = np.arange(len(near))
-        pos, off = np.tile(patterns[:, 0], 256), np.tile(patterns[:, 1], 256)
-        near[rows, pos] = (near[rows, pos] + off) & 3
-        windows += [exact, near]
-        contexts += [np.full(len(exact) + len(near), context, dtype=np.uint8)]
-    windows, contexts = np.concatenate(windows), np.concatenate(contexts)
+    assert images.radius == 1
+    windows, contexts, exact = radius_one_windows(images)
     assert len(windows) == 4 * 256 * 34
 
     values, distances, hits = images.lookup(_window_keys(windows), contexts)
@@ -160,9 +187,6 @@ def test_lookup_table_matches_kernel_within_radius_one(codebook):
     assert np.array_equal(values[hits], kernel[0][hits])
     assert np.array_equal(distances[hits], kernel[1][hits])
     assert not kernel[2][hits].any()
-    exact = np.zeros(len(windows), dtype=bool)
-    for lo in range(0, len(windows), 256 * 34):
-        exact[lo : lo + 256] = True
     assert hits[exact].all()
     assert hits[~exact].mean() > 0.99, hits[~exact].mean()
 
@@ -172,6 +196,79 @@ def test_lookup_table_matches_kernel_within_radius_one(codebook):
         decoded = decode_codeword_ml(codes_to_dna(windows[row]), "ACGT"[contexts[row]], codebook)
         assert (values[row], distances[row]) == (decoded.byte_value, decoded.dna_distance)
         assert not decoded.ambiguous
+
+
+def test_lookup_table_holds_exact_keys_only_for_close_images(lexicode):
+    """With images two substitutions apart, a window one substitution from
+    an image may be as close to another; the table then places exact
+    windows only, and every window it places decodes as the kernel
+    decodes it."""
+    images = candidate_images(lexicode)
+    windows, contexts, exact = radius_one_windows(images)
+
+    values, distances, hits = images.lookup(_window_keys(windows), contexts)
+    kernel = _batched_min_stats(windows, contexts, images)
+    assert np.array_equal(values[hits], kernel[0][hits])
+    assert np.array_equal(distances[hits], kernel[1][hits])
+    assert not kernel[2][hits].any()
+    assert (images.min_distance, images.radius) == (2, 0)
+    assert not hits[~exact].any()
+    assert hits[exact].mean() > 0.9, hits[exact].mean()
+
+
+@pytest.mark.parametrize("book", ["codebook", "lexicode"])
+def test_kernel_matches_scalar_reference_on_flips(book, request):
+    """Every 1- and 2-flip window of a seeded sample of codewords, in all
+    four contexts: the kernel's byte, DNA distance and ambiguous flag are
+    the scalar reference's. The lexicode's images two substitutions apart
+    give ties at distance 1 as well as 2."""
+    codebook = request.getfixturevalue(book)
+    images = candidate_images(codebook)
+    values = sorted({0, 255, *random.Random(8).sample(range(1, 255), 14)})
+    assert len(values) == 16
+    one, two = (flipped_windows(images, flips, values) for flips in (1, 2))
+    windows, contexts = np.concatenate([one[0], two[0]]), np.concatenate([one[1], two[1]])
+    got = _batched_min_stats(windows, contexts, images)
+    expected = []
+    for window, context in zip(windows, contexts):
+        decoded = decode_codeword_ml(codes_to_dna(window), "ACGT"[context], codebook)
+        expected.append((decoded.byte_value, decoded.dna_distance, decoded.ambiguous))
+    assert list(zip(*(column.tolist() for column in got))) == expected
+    assert got[2].any()
+    if book == "lexicode":
+        assert got[2][got[1] == 1].any()
+
+
+def test_kernel_tie_between_first_and_last_byte(lexicode):
+    """A window whose nearest images are exactly bytes 0 and 255, the
+    widest index gap a tie can have in a packed row."""
+    window, images = "CGAAAGCACGT", encode_rows(lexicode.as_array(), 0)
+    distances = (images != dna_codes(window)).sum(axis=1)
+    assert np.flatnonzero(distances == distances.min()).tolist() == [0, 255]
+    decoded = decode_codeword_ml(window, "A", lexicode)
+    values, dna_distances, ambiguous = _batched_min_stats(
+        dna_codes(window)[None], 0, candidate_images(lexicode)
+    )
+    assert (values[0], dna_distances[0], ambiguous[0]) == (
+        decoded.byte_value, decoded.dna_distance, decoded.ambiguous
+    )
+    assert dna_distances[0] == 3
+
+
+def test_kernel_runner_up_one_base_farther_with_lower_index(lexicode):
+    """Byte 255 is nearest and byte 0 one base farther: their packed
+    entries are 256 apart, the closest two untied images can be, so the
+    window must not read as a tie."""
+    window, images = "CGACAGTACGT", encode_rows(lexicode.as_array(), 0)
+    distances = (images != dna_codes(window)).sum(axis=1)
+    assert np.flatnonzero(distances == distances.min()).tolist() == [255]
+    assert distances[0] == distances.min() + 1
+    values, dna_distances, ambiguous = _batched_min_stats(
+        dna_codes(window)[None], 0, candidate_images(lexicode)
+    )
+    assert (values[0], dna_distances[0], ambiguous[0]) == (255, 2, False)
+    decoded = decode_codeword_ml(window, "A", lexicode)
+    assert (decoded.byte_value, decoded.dna_distance, decoded.ambiguous) == (255, 2, False)
 
 
 # a codeword's byte value and context, with up to three bases changed
