@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chunks import (
+    _window_starts,
     ChunkBatch,
     ChunkRecord,
     DEFAULT_CHUNK_BASES,
@@ -160,7 +161,7 @@ def corrupt_records(
     if spec.mode == MODE_COUNT:
         if (batch.payload_lengths % CODEWORD_LENGTH).any():
             raise ValueError("count mode needs payloads of whole 11-base windows")
-        starts = batch.window_starts()
+        starts = _window_starts(batch.starts, batch.payload_lengths // CODEWORD_LENGTH)
     codes = batch.codes.copy()
     _substitute(codes, spec, rng, starts)
     return ChunkBatch(codes, batch.ends, batch.header_widths, batch.file_ids, batch.chunk_indices)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -54,6 +55,9 @@ _ORD_ZERO = ord("0")
 _NEWLINE = ord("\n")
 _TITLE = ord(">")
 _UNKNOWN = -1
+# bulk passes work in blocks, so their temporaries do not grow with the file
+_TEXT_BLOCK = 1 << 18  # characters of FASTA text per block of emit and parse
+_RECORD_BLOCK = 4096  # records per block of FASTA rows, records built or window keys
 
 
 class ChunkError(ValueError):
@@ -126,9 +130,9 @@ def _optional(value: int) -> int | None:
 
 
 class _Columns(Sequence):
-    """A read-only sequence kept as columns of read-only arrays, which
-    builds items ``lo`` to ``hi - 1`` on demand with ``_items(lo, hi)``
-    and equals any sequence of equal items."""
+    """A read-only sequence kept as columns of read-only arrays. It builds
+    items ``lo`` to ``hi - 1`` (or its end) with ``_items(lo, hi)``, a
+    block at a time when iterated, and equals any sequence of equal items."""
 
     __slots__ = ()
 
@@ -144,7 +148,8 @@ class _Columns(Sequence):
         return next(self._items(i, i + 1))
 
     def __iter__(self):
-        return self._items(0, len(self))
+        blocks = range(0, len(self), _RECORD_BLOCK)
+        return chain.from_iterable(self._items(lo, lo + _RECORD_BLOCK) for lo in blocks)
 
     def __eq__(self, other):
         if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
@@ -211,19 +216,6 @@ class ChunkBatch(_Columns):
     def payload_lengths(self) -> np.ndarray:
         return self.lengths - self.header_widths
 
-    def window_starts(self, order=slice(None)) -> np.ndarray:
-        """Where each 11-base window of the payloads of the records
-        ``order`` (all, by default) starts in ``codes``, those records
-        taken in that order. Bases past a payload's last whole window
-        are left out."""
-        counts = self.payload_lengths[order] // CODEWORD_LENGTH
-        ends = np.cumsum(counts)
-        # window k starts 11 k bases after the first window of the stream,
-        # shifted by where its record starts in codes
-        starts = np.repeat(self.starts[order] - CODEWORD_LENGTH * (ends - counts), counts)
-        starts += np.arange(0, CODEWORD_LENGTH * len(starts), CODEWORD_LENGTH)
-        return starts
-
     def __len__(self) -> int:
         return len(self.ends)
 
@@ -265,6 +257,17 @@ class ChunkBatch(_Columns):
             codes = sliding_window_view(self.codes, width)[header_starts[rows]]
             file_ids[rows], indices[rows], parity_ok[rows] = _decode_header_rows(codes)
         return file_ids, indices, parity_ok
+
+
+def _window_starts(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Where each of the first ``counts`` 11-base windows of the records
+    that start at ``starts`` in a batch's codes starts, record by record."""
+    ends = np.cumsum(counts)
+    # window k starts 11 k bases after the first window of the stream,
+    # shifted by where its record starts in codes
+    windows = np.repeat(starts - CODEWORD_LENGTH * (ends - counts), counts)
+    windows += np.arange(0, CODEWORD_LENGTH * len(windows), CODEWORD_LENGTH)
+    return windows
 
 
 def mu_for_segments(segment_count: int) -> int:
@@ -430,15 +433,18 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
     offsets = np.cumsum(sizes) - sizes
     out = bytearray(int(sizes.sum()))
     text = np.frombuffer(out, dtype=np.uint8)
-    # records alike in length and digit counts are one matrix of text
+    # records alike in length and digit counts are one matrix of text, per block
     groups = (lengths * 32 + id_digits) * 32 + index_digits
     order = np.argsort(groups, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(groups[order])) + 1):
+    blocks = np.arange(_RECORD_BLOCK, len(order), _RECORD_BLOCK)
+    for rows in np.split(order, np.union1d(np.flatnonzero(np.diff(groups[order])) + 1, blocks)):
         bases = sliding_window_view(batch.codes, int(lengths[rows[0]]))
         fasta = _fasta_rows(file_ids[rows], indices[rows], bases, starts[rows])
         sliding_window_view(text, fasta.shape[1], writeable=True)[offsets[rows]] = fasta
     # the bases are still codes 0..3; the table keeps every other byte
-    return out.translate(_CODE_TO_BASE).decode("ascii")
+    for lo in range(0, len(out), _TEXT_BLOCK):
+        out[lo : lo + _TEXT_BLOCK] = out[lo : lo + _TEXT_BLOCK].translate(_CODE_TO_BASE)
+    return out.decode("ascii")
 
 
 def _infer_mu(lengths: np.ndarray, chunk_bases: int) -> int:
@@ -462,48 +468,57 @@ def _split_fasta(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     opens a record.
     """
     try:
-        return _split_lines(("\n" + text.replace("\r", "")).encode("utf-8"))
+        return _split_lines(text)
     except FastaError:
-        stripped = "\n" + "\n".join(map(str.strip, text.splitlines()))
-        return _split_lines(stripped.encode("utf-8"))
+        return _split_lines("\n".join(map(str.strip, text.splitlines())))
 
 
-def _split_lines(lines: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One reading of :func:`_split_fasta`, of UTF-8 text in which every
-    line follows a newline, so that line k (0-based) starts right after
-    the k-th newline. The work is done on the bytes with one entry per
-    line; the line of a bad symbol is only looked up on error.
+def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One reading of :func:`_split_fasta`, of the text encoded once, in
+    two passes over blocks of about ``_TEXT_BLOCK`` bytes cut after
+    newlines: one finds the lines, one writes the codes of the sequence
+    bytes into one array. A bad symbol's line is only looked up on error.
     """
-    buf = np.frombuffer(lines, dtype=np.uint8)
-    newlines = np.flatnonzero(buf == _NEWLINE)
-    first = newlines + 1
-    widths = np.append(newlines[1:], len(buf)) - first
-    is_title = np.zeros(len(first), dtype=bool)
-    nonblank = np.flatnonzero(widths)
-    is_title[nonblank] = buf[first[nonblank]] == _TITLE
-    seq_widths = np.where(is_title, 0, widths)
+    data = text.replace("\r", "").encode("utf-8")
+    buf = np.frombuffer(data, dtype=np.uint8)
+    cuts = [0]
+    while cuts[-1] < len(data):
+        lo, hi = cuts[-1], cuts[-1] + _TEXT_BLOCK
+        cut = data.rfind(b"\n", lo, hi) + 1 or data.find(b"\n", hi) + 1
+        cuts.append(len(data) if hi >= len(data) or not cut else cut)
+    # where each line starts; its first byte (a blank line's newline) tells a title
+    starts = np.concatenate(
+        [[0], *(np.flatnonzero(buf[lo:hi] == _NEWLINE) + lo + 1 for lo, hi in zip(cuts, cuts[1:]))]
+    )
+    widths = np.append(starts[1:] - 1, len(buf)) - starts
+    is_title = buf.take(starts, mode="clip") == _TITLE
+    lines = np.searchsorted(starts, cuts).tolist()
     titles = np.flatnonzero(is_title)
-    data_lines = np.flatnonzero(seq_widths)
-    if not titles.size or data_lines.size and data_lines[0] < titles[0]:
-        raise FastaError("sequence data before any '>' header", int(data_lines[0]) + 1)
+    data_line = int(np.argmax(~is_title & (widths > 0)))
+    if not titles.size or data_line < titles[0] and widths[data_line]:
+        raise FastaError("sequence data before any '>' header", data_line + 1)
 
-    # the bytes of sequence lines, without their newlines
-    keep = np.repeat(~is_title, widths + 1)
-    keep[newlines] = False
-    sequences = buf[keep].tobytes().translate(_CHAR_TO_CODE_TABLE)
-    bad = sequences.find(255)
-    if bad >= 0:
-        line = int(np.searchsorted(np.cumsum(seq_widths), bad, side="right"))
-        start = int(first[line])
+    codes = np.empty(int(widths.sum() - widths[titles].sum()), dtype=np.uint8)
+    pos = 0
+    for lo, hi, first, stop in zip(cuts, cuts[1:], lines, lines[1:]):
+        # the bytes of sequence lines, without their newlines
+        keep = np.repeat(~is_title[first:stop], widths[first:stop] + 1)[: hi - lo]
+        keep &= buf[lo:hi] != _NEWLINE
+        sequences = np.frombuffer(data[lo:hi].translate(_CHAR_TO_CODE_TABLE), np.uint8)[keep]
+        codes[pos : pos + len(sequences)] = sequences
+        pos += len(sequences)
+    if codes.max(initial=0) > 3:
+        seq_ends = np.cumsum(np.where(is_title, 0, widths))
+        line = int(np.searchsorted(seq_ends, np.argmax(codes > 3), side="right"))
         try:
-            parse_dna(lines[start : start + int(widths[line])].decode("utf-8"))
+            parse_dna(data[starts[line] : starts[line] + widths[line]].decode("utf-8"))
         except ValueError as exc:
             raise FastaError(str(exc), line + 1) from exc
-    lengths = np.add.reduceat(seq_widths, titles)
+    lengths = np.add.reduceat(widths, titles) - widths[titles]
     empty = np.flatnonzero(lengths == 0)
     if empty.size:
         raise FastaError("record has no sequence data", int(titles[empty[0]]) + 1)
-    return np.frombuffer(sequences, dtype=np.uint8), lengths, titles + 1
+    return codes, lengths, titles + 1
 
 
 def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch:

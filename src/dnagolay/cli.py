@@ -103,7 +103,8 @@ def _cmd_decode(args) -> int:
     if not result.fully_recovered:
         out = out.with_name(out.name + ".partial")
     out.write_bytes(result.content)
-    _write_report(args.report, result.to_dict())
+    if args.report:  # a dict per chunk: built only when asked for
+        _write_report(args.report, result.to_dict())
     corrected = int(result.per_chunk.codeword_distances.sum(dtype=np.int64))
     print(
         f"decoded {len(result.content)} bytes "

@@ -40,6 +40,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .chunks import (
     _Columns,
+    _RECORD_BLOCK,
+    _window_starts,
     ChunkBatch,
     ChunkRecord,
     EXTENSION_SEPARATOR,
@@ -184,6 +186,7 @@ class DecodeResult:
 
 _GROUP = 4  # bases per table index: one 4^4 x 256 table per group of columns
 _BLOCK = 1024  # windows per kernel block; each (rows, 256) uint16 buffer is 512 KiB
+_LOOKUP_BLOCK = 1 << 16  # windows per block of table lookups
 _SHIFT = 9  # a packed table entry is mismatches << _SHIFT, plus the image index
 _FIELDS = sum(1 << 2 * col for col in range(CODEWORD_LENGTH))  # low bit of every base field
 _INDEX = 4**9 - 1  # the last nine bases of a window key: its lookup-table index
@@ -191,6 +194,8 @@ _COLUMNS = np.arange(CODEWORD_LENGTH, dtype=np.uint8)
 # the weight of each base in each group's table index, one column per group
 _GROUP_WEIGHTS = np.eye(-(-CODEWORD_LENGTH // _GROUP), dtype=np.uint8)[_COLUMNS // _GROUP]
 _GROUP_WEIGHTS <<= 2 * (_COLUMNS[:, None] % _GROUP)
+# each base of a window key: its byte in the little-endian key, its field in that byte
+_KEY_BYTES, _KEY_FIELDS = divmod(CODEWORD_LENGTH - 1 - _COLUMNS, 4)
 
 
 def _packed_tables(rows: np.ndarray) -> list[np.ndarray]:
@@ -236,6 +241,12 @@ def _window_keys(windows: np.ndarray) -> np.ndarray:
         keys <<= 2
         keys |= windows[:, col]
     return keys
+
+
+def _key_windows(keys: np.ndarray) -> np.ndarray:
+    """The (keys, 11) base codes of packed window keys."""
+    windows = keys.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, _KEY_BYTES]
+    return (windows >> 2 * _KEY_FIELDS) & 3
 
 
 class CandidateImages:
@@ -367,9 +378,9 @@ def _batched_min_stats(
 
 
 def _decode_stream(
-    windows: np.ndarray, prev_code: int, images: CandidateImages
+    keys: np.ndarray, prev_code: int, images: CandidateImages
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Decode a stream of received (windows, 11) base codes, received
+    """Decode a stream of received windows, as packed keys, received
     after base code ``prev_code``, window by window with context chaining.
 
     Returns (byte values, per-window DNA distances, per-window ambiguous
@@ -377,34 +388,37 @@ def _decode_stream(
 
     A window's context is the last base of its corrected predecessor.
     Round one looks every window up in the radius-1 table under its
-    received context, on whole arrays; a window it finds exact keeps its
+    received context, block by block; a window it finds exact keeps its
     last base, so an undamaged stream ends there. Each round, the kernel
     decodes the misses, except a miss whose context a hit of the same
     round has just changed: that one waits for the next round, which
     looks up again every window whose context this round changed. Window
     k's context is final after at most k+1 rounds, so the result is the
-    sequential window-by-window decode.
+    sequential window-by-window decode. Only kernel rows are unpacked.
     """
-    n = len(windows)
-    keys = _window_keys(windows)
+    n = len(keys)
     # contexts[k] is the last base of window k-1 as last decoded
     contexts = np.empty(n + 1, dtype=np.uint8)
     contexts[0] = prev_code
-    contexts[1:] = windows[:, -1]
+    np.bitwise_and(keys, 3, out=contexts[1:], casting="unsafe")
     last = images.images[:, -1]
-    values, distances, hit = images.lookup(keys, contexts[:-1])
+    values, distances, hit = np.empty((3, n), dtype=np.uint8)
+    for lo in range(0, n, _LOOKUP_BLOCK):
+        block = slice(lo, min(n, lo + _LOOKUP_BLOCK))
+        values[block], distances[block], hit[block] = images.lookup(keys[block], contexts[block])
     ambiguous = np.zeros(n, dtype=bool)
     todo = np.flatnonzero(distances)
-    hit = hit[todo]
+    hit = hit.view(bool)[todo]
     while todo.size:
         ctx = contexts[todo]
         moves = hit & (((last[values[todo]] + ctx) & 3) != contexts[todo + 1])
         run = ~hit
         run[1:] &= ~(moves[:-1] & (np.diff(todo) == 1))
         rows = todo[run]
-        values[rows], distances[rows], ambiguous[rows] = _batched_min_stats(
-            windows[rows], ctx[run], images
-        )
+        if rows.size:
+            values[rows], distances[rows], ambiguous[rows] = _batched_min_stats(
+                _key_windows(keys[rows]), ctx[run], images
+            )
         moves[run] = ((last[values[rows]] + ctx[run]) & 3) != contexts[rows + 1]
         todo = todo[moves]
         contexts[todo + 1] = (last[values[todo]] + contexts[todo]) & 3
@@ -415,9 +429,9 @@ def _decode_stream(
 
 
 def _decode_run(
-    windows: np.ndarray, prev_code: int | None, first: int, images: CandidateImages
+    keys: np.ndarray, prev_code: int | None, first: int, images: CandidateImages
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """:func:`_decode_stream` over the windows of consecutive chunks.
+    """:func:`_decode_stream` over the window keys of consecutive chunks.
 
     With ``prev_code`` None the run starts from the context under which
     its ``first`` windows, those of its first chunk, decode with the
@@ -425,16 +439,17 @@ def _decode_run(
     """
     if prev_code is None:
         costs = [
-            int(_decode_stream(windows[:first], b, images)[1].sum())
+            int(_decode_stream(keys[:first], b, images)[1].sum())
             for b in range(len(DNA_ALPHABET))
         ]
         prev_code = costs.index(min(costs))
-    return _decode_stream(windows, prev_code, images)
+    return _decode_stream(keys, prev_code, images)
 
 
-def _payload_windows(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
-    """The payload windows of the records ``order``, in that order, as one
-    (windows, 11) matrix, with each record's window count.
+def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
+    """The packed keys of the payload windows of the records ``order``,
+    in that order, with each record's window count; built per block of
+    records, so no array per window but the keys spans the stream.
 
     Raises :class:`DecodeError` for a payload that is not a positive
     multiple of 11 bases.
@@ -446,8 +461,16 @@ def _payload_windows(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
             f"payload length {int(payload_lengths[bad[0]])} is not a positive "
             f"multiple of {CODEWORD_LENGTH}"
         )
-    windows = sliding_window_view(batch.codes, CODEWORD_LENGTH)[batch.window_starts(order)]
-    return windows, payload_lengths // CODEWORD_LENGTH
+    counts = payload_lengths // CODEWORD_LENGTH
+    starts = batch.starts[order]
+    keys = np.empty(int(counts.sum()), dtype=np.uint32)
+    windows = sliding_window_view(batch.codes, CODEWORD_LENGTH)
+    pos = 0
+    for lo in range(0, len(counts), _RECORD_BLOCK):
+        block = _window_starts(starts[lo : lo + _RECORD_BLOCK], counts[lo : lo + _RECORD_BLOCK])
+        keys[pos : pos + len(block)] = _window_keys(windows[block])
+        pos += len(block)
+    return keys, counts
 
 
 def decode_chunk(
@@ -464,12 +487,12 @@ def decode_chunk(
     recovered best-effort and the chunk is flagged via ``parity_ok``.
     """
     batch = ChunkBatch.of([record])
-    windows, _ = _payload_windows(batch, slice(None))
+    keys, _ = _payload_keys(batch, slice(None))
     file_ids, indices, parity_ok = batch.decoded_headers()
     values, distances, ambiguous, last = _decode_run(
-        windows,
+        keys,
         None if prev_base is None else _base_code(prev_base),
-        len(windows),
+        len(keys),
         candidate_images(codebook),
     )
     report = ChunkDecodeReport(
@@ -552,7 +575,7 @@ def decode_file(
         order = order_all
 
     present = index_arr[order]
-    windows, counts = _payload_windows(batch, order)
+    keys, counts = _payload_keys(batch, order)
     ends = np.cumsum(counts)
     seen = np.zeros(int(present[-1]) + 1, dtype=bool)
     seen[present] = True
@@ -564,16 +587,16 @@ def decode_file(
     # content keeps its offsets
     placeholder = bytes(int(counts.max()))
     runs = (np.flatnonzero(np.diff(present) != 1) + 1).tolist()
-    values = np.empty(len(windows), dtype=np.uint8)
-    distances = np.empty(len(windows), dtype=np.uint8)
-    ambiguous = np.empty(len(windows), dtype=bool)
+    values = np.empty(len(keys), dtype=np.uint8)
+    distances = np.empty(len(keys), dtype=np.uint8)
+    ambiguous = np.empty(len(keys), dtype=bool)
     pieces = []
     decoded = 0
     for start, stop in zip([0, *runs], [*runs, len(present)]):
         first = int(present[start])
         lo, hi = int(ends[start] - counts[start]), int(ends[stop - 1])
         values[lo:hi], distances[lo:hi], ambiguous[lo:hi], _ = _decode_run(
-            windows[lo:hi],
+            keys[lo:hi],
             BASE_INDEX[DEFAULT_PREV_BASE] if first == 0 else None,
             int(counts[start]),
             images,

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dnagolay import chunks
 from dnagolay.chunks import (
     ChunkBatch,
     ChunkError,
@@ -434,6 +435,77 @@ def test_encode_and_parse_keep_no_object_per_record(codebook):
         assert len(kept) > 6000
         assert len(gc.get_objects()) - before < 50
         del kept
+
+
+# --- blocked FASTA passes -------------------------------------------------------
+
+# block sizes below, at and above one record's text, so that cuts land
+# inside records, between them and inside runs of blank lines
+BLOCK_SIZES = [1, 7, 40, 81, 100, 139, 250, 1 << 18]
+
+
+@pytest.fixture(scope="module")
+def fasta(codebook):
+    """A file of 30 records, its batch and its FASTA text."""
+    batch = encode_file(FileDescriptor(content=bytes(range(256)), extension="bin"), codebook)
+    return batch, emit_fasta(batch)
+
+
+def sequences(batch):
+    return [r.sequence for r in batch]
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_parse_blocks_cut_records_and_crlf(fasta, monkeypatch, block):
+    batch, text = fasta
+    monkeypatch.setattr(chunks, "_TEXT_BLOCK", block)
+    assert sequences(parse_fasta(text)) == sequences(batch)
+    assert sequences(parse_fasta(text.rstrip("\n"))) == sequences(batch)
+    assert sequences(parse_fasta(text.replace("\n", "\r\n"))) == sequences(batch)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_parse_blocks_skip_blank_lines_at_the_cut(fasta, monkeypatch, block):
+    batch, text = fasta
+    monkeypatch.setattr(chunks, "_TEXT_BLOCK", block)
+    assert sequences(parse_fasta("\n\n" + text.replace("\n", "\n\n\n"))) == sequences(batch)
+    assert sequences(parse_fasta(text.replace("\n", "\r\n\r\n"))) == sequences(batch)
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_parse_blocks_name_the_line_of_a_late_bad_symbol(fasta, monkeypatch, block):
+    _, text = fasta
+    monkeypatch.setattr(chunks, "_TEXT_BLOCK", block)
+    at = text.rindex(">") + 30  # inside the last record's sequence
+    line = text.count("\n", 0, at) + 1
+    assert line > 80
+    for bad in ("N", "\u00e9"):
+        with pytest.raises(FastaError, match=f"^line {line}: invalid nucleotide"):
+            parse_fasta(text[:at] + bad + text[at + 1 :])
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+def test_parse_blocks_report_data_before_a_title_and_empty_records(fasta, monkeypatch, block):
+    _, text = fasta
+    monkeypatch.setattr(chunks, "_TEXT_BLOCK", block)
+    with pytest.raises(FastaError, match="^line 1: sequence data before any '>' header"):
+        parse_fasta("ACGT\n" + text)
+    with pytest.raises(FastaError, match="^line 301: sequence data before any '>' header"):
+        parse_fasta("\n" * 300 + "ACGT\n" + text)
+    empty = text.count("\n") + 201
+    with pytest.raises(FastaError, match=f"^line {empty}: record has no sequence data"):
+        parse_fasta(text + "\n" * 200 + ">a\n" * 2)
+
+
+def test_emit_blocks_write_the_same_text(codebook, monkeypatch):
+    small = encode_file(FileDescriptor(content=bytes(30), extension=""), codebook)
+    large = encode_file(FileDescriptor(content=bytes(3000), extension="x", file_id=2), codebook)
+    mixed = ChunkBatch.of([rec for pair in zip(small, large) for rec in pair] + list(large[5:]))
+    expected = [emit_fasta(batch) for batch in (large, mixed)]
+    monkeypatch.setattr(chunks, "_TEXT_BLOCK", 100)
+    monkeypatch.setattr(chunks, "_RECORD_BLOCK", 3)
+    assert [emit_fasta(batch) for batch in (large, mixed)] == expected
+    assert expected[1] == "".join(emit_fasta([rec]) for rec in mixed)
 
 
 # --- invariants ---------------------------------------------------------------

@@ -4,6 +4,7 @@ import pytest
 
 from dnagolay.chunks import decode_header, parse_fasta
 from dnagolay.cli import main
+from dnagolay.mldecode import DecodeResult
 
 
 def run(argv):
@@ -57,6 +58,19 @@ def test_decode_report(tmp_path, sample_file):
     payload = json.loads(report.read_text())
     assert payload["fully_recovered"] is True
     assert payload["extension"] == "txt"
+
+
+def test_decode_builds_no_report_unless_asked(tmp_path, sample_file, monkeypatch):
+    fasta = tmp_path / "out.fasta"
+    restored = tmp_path / "restored.bin"
+    run(["encode", "--in", str(sample_file), "--out", str(fasta)])
+
+    def refuse(self):
+        raise AssertionError("report built without --report")
+
+    monkeypatch.setattr(DecodeResult, "to_dict", refuse)
+    assert run(["decode", "--in", str(fasta), "--out", str(restored)]) == 0
+    assert restored.read_bytes() == sample_file.read_bytes()
 
 
 def test_file_id_out_of_range_is_usage_error(tmp_path, sample_file):

@@ -1,0 +1,44 @@
+"""Transient memory of the bulk passes, measured with tracemalloc.
+
+Each pass works in blocks, so what it allocates beyond its input and its
+output is bounded by its block sizes plus small per-line, per-record and
+per-window arrays, and by at most one buffer the size of the text.
+"""
+
+import tracemalloc
+
+import numpy as np
+
+from dnagolay.chunks import FileDescriptor, emit_fasta, encode_file, parse_fasta
+from dnagolay.mldecode import decode_file
+
+
+def transient_peak(call) -> int:
+    """Bytes allocated at the peak of ``call`` beyond what it returned."""
+    tracemalloc.start()
+    try:
+        result = call()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del result
+    return peak - current
+
+
+def test_bulk_passes_hold_no_copy_of_the_whole_text(codebook):
+    data = np.random.default_rng(0).bytes(256 << 10)
+    batch = encode_file(FileDescriptor(data, "bin"), codebook)
+    text = emit_fasta(batch)
+    parsed = parse_fasta(text)
+    assert decode_file(parsed, codebook).content == data
+    # emit_fasta fills one text-sized buffer before it makes the str, and
+    # parse_fasta reads the text encoded once; iterating builds records
+    # block by block and holds no text at all
+    bounds = {
+        "emit_fasta": (lambda: emit_fasta(batch), 2.0),
+        "parse_fasta": (lambda: parse_fasta(text), 2.0),
+        "decode_file": (lambda: decode_file(parsed, codebook), 2.0),
+        "list(batch)": (lambda: list(batch), 0.5),
+    }
+    peaks = {name: transient_peak(call) / len(text) for name, (call, _) in bounds.items()}
+    assert all(peaks[name] < bound for name, (_, bound) in bounds.items()), peaks

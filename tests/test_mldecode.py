@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dnagolay import mldecode
+from dnagolay import chunks, mldecode
 from dnagolay.analysis import ChannelSpec, corrupt_records
 from dnagolay.chunks import (
     ChunkBatch,
@@ -20,6 +20,7 @@ from dnagolay.mldecode import (
     DuplicateChunkError,
     DecodeError,
     _batched_min_stats,
+    _key_windows,
     _substitution_patterns,
     _window_keys,
     audit_substitutions,
@@ -357,6 +358,35 @@ def test_decode_chunk_rejects_non_dna_symbol(codebook):
         decode_chunk(damaged, codebook)
 
 
+def test_key_windows_unpack_window_keys():
+    windows = np.random.default_rng(4).integers(0, 4, size=(500, 11), dtype=np.uint8)
+    windows[0], windows[1] = 0, 3
+    keys = _window_keys(windows)
+    assert keys.max() < 4**11
+    assert (_key_windows(keys) == windows).all()
+    assert _key_windows(keys[:0]).shape == (0, 11)
+
+
+def test_stream_decode_skips_the_kernel_when_no_window_needs_it(codebook, monkeypatch):
+    rows = []
+
+    def kernel(windows, contexts, images):
+        rows.append(len(windows))
+        return _batched_min_stats(windows, contexts, images)
+
+    monkeypatch.setattr(mldecode, "_batched_min_stats", kernel)
+    for seed in range(40):
+        fd = FileDescriptor(content=np.random.default_rng(seed).bytes(1024), extension="bin")
+        noisy = corrupt_records(
+            encode_file(fd, codebook), ChannelSpec.parse("rate:0.001"), np.random.default_rng(seed)
+        )
+        try:
+            decode_file(noisy, codebook)
+        except DecodeError:
+            pass
+    assert rows and min(rows) > 0
+
+
 # --- trailer split ----------------------------------------------------------------
 
 def test_split_payload_stream_simple():
@@ -516,6 +546,27 @@ def test_per_chunk_reports_are_read_only_columns(codebook):
     assert list(reports[0].codeword_distances) == [1] * 9
     assert int(reports.codeword_distances.sum()) == sum(len(r.payload_dna) for r in records) // 11
     assert result.fully_recovered
+
+
+def test_blocked_decode_and_iteration_match_one_block(codebook, monkeypatch):
+    """Window keys, round-one lookups and the items of batches and
+    reports, built in blocks of a few records or windows, come out as in
+    one block; iterating builds the items that indexing does."""
+    fd = FileDescriptor(content=bytes(random.Random(5).randrange(256) for _ in range(400)))
+    records = corrupt_records(
+        encode_file(fd, codebook), ChannelSpec.parse("count:1"), np.random.default_rng(6)
+    )
+    parsed = parse_fasta(emit_fasta(records))
+    shuffled = ChunkBatch.of(list(parsed)[::-1])
+    expected = [_outcome(batch, codebook) for batch in (parsed, shuffled)]
+    monkeypatch.setattr(chunks, "_RECORD_BLOCK", 4)
+    monkeypatch.setattr(mldecode, "_RECORD_BLOCK", 4)
+    monkeypatch.setattr(mldecode, "_LOOKUP_BLOCK", 7)
+    assert [_outcome(batch, codebook) for batch in (parsed, shuffled)] == expected
+    reports = decode_file(parsed, codebook).per_chunk
+    for items in (records, parsed, reports):
+        assert len(items) > 3 * 4
+        assert list(items) == [items[i] for i in range(len(items))]
 
 
 def test_decode_file_empty_input(codebook):
