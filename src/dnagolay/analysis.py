@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -273,13 +273,7 @@ class CapacityResult:
     residual: float
     iterations: int
 
-    def to_dict(self) -> dict:
-        return {
-            "bytes_per_gram": self.bytes_per_gram,
-            "mu": self.mu,
-            "residual": self.residual,
-            "iterations": self.iterations,
-        }
+    to_dict = asdict
 
 
 class ConvergenceError(RuntimeError):
@@ -351,13 +345,7 @@ class CostRow:
     cost_usd: float
     cost_per_mb_usd: float
 
-    def to_dict(self) -> dict:
-        return {
-            "size_bytes": self.size_bytes,
-            "total_bases": self.total_bases,
-            "cost_usd": self.cost_usd,
-            "cost_per_mb_usd": self.cost_per_mb_usd,
-        }
+    to_dict = asdict
 
 
 def count_record_bases(

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -58,6 +59,15 @@ def _load_codebook(path: str | None):
     if path is None:
         return load_default_codebook()
     return load_codebook_file(path)
+
+
+@contextmanager
+def _usage_errors():
+    """Raise a ValueError from parsing or checking arguments as a UsageError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def _write_report(path: str | None, payload: dict):
@@ -123,10 +133,11 @@ def _cmd_decode(args) -> int:
 def _cmd_corrupt(args) -> int:
     if (args.count is None) == (args.rate is None):
         raise UsageError("exactly one of --count or --rate is required")
-    if args.count is not None:
-        spec = ChannelSpec.fixed_count(args.count, args.seed)
-    else:
-        spec = ChannelSpec.iid_rate(args.rate, args.seed)
+    with _usage_errors():
+        if args.count is not None:
+            spec = ChannelSpec.fixed_count(args.count, args.seed)
+        else:
+            spec = ChannelSpec.iid_rate(args.rate, args.seed)
     records = parse_fasta(
         Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases
     )
@@ -139,8 +150,9 @@ def _cmd_corrupt(args) -> int:
 
 
 def _cmd_verify_code(args) -> int:
+    with _usage_errors():
+        family = CodeFamilySpec.parse(args.family)
     codebook = _load_codebook(args.codebook)
-    family = CodeFamilySpec.parse(args.family)
     report = verify_code(codebook.codewords, family)
     subcode = verify_subcode_243(codebook)
     for line in codebook.load_report.describe():
@@ -175,10 +187,8 @@ def _cmd_verify_code(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    try:
+    with _usage_errors():
         family = CodeFamilySpec.parse(args.family)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     words = greedy_construct(family, order=args.order, seed=args.seed)
     report = verify_code(words, family)
     if args.out:
@@ -194,12 +204,13 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_capacity(args) -> int:
-    params = CapacityParams(
-        chunk_payload_bases=args.chunk_payload,
-        code_length=args.code_length,
-        bases_per_gram=args.bases_per_gram,
-        overhead_bytes=args.overhead,
-    )
+    with _usage_errors():
+        params = CapacityParams(
+            chunk_payload_bases=args.chunk_payload,
+            code_length=args.code_length,
+            bases_per_gram=args.bases_per_gram,
+            overhead_bytes=args.overhead,
+        )
     result = solve_capacity(params)
     print(f"solving {CAPACITY_FORMULA}")
     print(
@@ -221,10 +232,8 @@ def _cmd_simulate(args) -> int:
         extension=Path(args.infile).suffix.lstrip("."),
         file_id=args.file_id,
     )
-    try:
+    with _usage_errors():
         grid = [ChannelSpec.parse(item, args.seed) for item in args.grid.split(";")]
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     rows = monte_carlo_decode(fd, codebook, grid, args.trials, args.chunk_bases)
     header = f"{'channel':>12} {'trials':>7} {'byte_acc':>9} {'parity_fail':>11} {'file_exact':>10}"
     print(header)
@@ -239,8 +248,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_cost_curve(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    rows = cost_curve(sizes, extension=args.extension, chunk_bases=args.chunk_bases)
+    with _usage_errors():
+        sizes = [int(s) for s in args.sizes.split(",")]
+        rows = cost_curve(sizes, extension=args.extension, chunk_bases=args.chunk_bases)
     print(f"{'size_bytes':>12} {'total_bases':>12} {'cost_usd':>14} {'cost_per_mb':>14}")
     for row in rows:
         print(

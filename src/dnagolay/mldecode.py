@@ -9,18 +9,21 @@ codeword and the window's best-effort trit reading, unreadable positions
 scored as mismatches; a tie on both layers is flagged ambiguous and the
 smallest byte value is returned.
 
-A codeword's image after base c is its image after 'A' shifted by c
-(mod 4), and a window's trit reading does not change under that shift,
-so windows are shifted into context 'A' and one image table serves all
-contexts. A table indexed by the last nine bases of a shifted window
-names an image, and a window equal to it is decoded; so is a window one
-base from it, when images are at least three substitutions apart and
-such a window decodes to it uniquely. Every other window goes to the
-kernel, :func:`_batched_min_stats`, which serves streams, chunks and the
-audit; :func:`decode_codeword_ml` is its scalar reference. The kernel
-sums three uint16 table rows per window into ``distance << 9 | index``
-for all 256 images: one row minimum gives the distance and the nearest
-image, and a second one any tie.
+A window is held as one packed 22-bit key, two bits per base, and
+every per-base step (a context shift, a trit reading, a substitution)
+is a base-by-base sum mod 4 of keys, :func:`_add_fields`. A codeword's
+image after base c is its image after 'A' shifted by c (mod 4), and a
+window's trit reading does not change under that shift, so windows are
+shifted into context 'A' and one image table serves all contexts. A
+table indexed by the last nine bases of a shifted window names an
+image, and a window equal to it is decoded; so is a window one base
+from it, when images are at least three substitutions apart and such a
+window decodes to it uniquely. Every other window goes to the kernel,
+:func:`_batched_min_stats`, which serves streams, chunks and the audit;
+:func:`decode_codeword_ml` is its scalar reference. The kernel sums one
+uint16 table row per key byte into ``distance << 9 | index`` for all
+256 images: one row minimum gives the distance and the nearest image,
+and a second one any tie.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -55,7 +58,6 @@ from .transcode import (
     DEFAULT_PREV_BASE,
     codes_to_dna,
     decode_codes,
-    decode_rows,
     dna_codes,
     encode_rows,
 )
@@ -184,40 +186,47 @@ class DecodeResult:
         }
 
 
-_GROUP = 4  # bases per table index: one 4^4 x 256 table per group of columns
 _BLOCK = 1024  # windows per kernel block; each (rows, 256) uint16 buffer is 512 KiB
 _LOOKUP_BLOCK = 1 << 16  # windows per block of table lookups
 _SHIFT = 9  # a packed table entry is mismatches << _SHIFT, plus the image index
 _FIELDS = sum(1 << 2 * col for col in range(CODEWORD_LENGTH))  # low bit of every base field
 _INDEX = 4**9 - 1  # the last nine bases of a window key: its lookup-table index
-_COLUMNS = np.arange(CODEWORD_LENGTH, dtype=np.uint8)
-# the weight of each base in each group's table index, one column per group
-_GROUP_WEIGHTS = np.eye(-(-CODEWORD_LENGTH // _GROUP), dtype=np.uint8)[_COLUMNS // _GROUP]
-_GROUP_WEIGHTS <<= 2 * (_COLUMNS[:, None] % _GROUP)
-# each base of a window key: its byte in the little-endian key, its field in that byte
-_KEY_BYTES, _KEY_FIELDS = divmod(CODEWORD_LENGTH - 1 - _COLUMNS, 4)
+# each context's negation mod 4 in every field: adding it shifts a key into context 'A'
+_NEGATIONS = (-np.arange(4, dtype=np.uint32) & 3) * np.uint32(_FIELDS)
+# the bytes of a little-endian key hold bases 7-10, 3-6 and 0-2: 256, 256 and 64 values
+_BYTE_VALUES = (256, 256, 64)
+# the number of nonzero 2-bit fields in each byte: its mismatches when it is an XOR
+_BYTE_MISMATCHES = sum((np.arange(256) >> 2 * f & 3) != 0 for f in range(4)).astype(np.uint16)
 
 
-def _packed_tables(rows: np.ndarray) -> list[np.ndarray]:
-    """Per group of up to ``_GROUP`` columns of the (256, 11) ``rows``, one
-    uint16 table indexed by the group's values: the mismatch count with
-    each row << ``_SHIFT``, plus the row's index in the first table only;
-    so a window's entries sum to ``distance << _SHIFT | index``."""
-    tables = []
-    for lo in range(0, CODEWORD_LENGTH, _GROUP):
-        cols = rows[:, lo : lo + _GROUP].T
-        # the group's values under each index, as weighted by _GROUP_WEIGHTS
-        keys = (np.arange(4 ** len(cols))[:, None] >> 2 * np.arange(len(cols))) & 3
-        mismatches = sum(key[:, None] != col for key, col in zip(keys.T, cols))
-        tables.append(mismatches.astype(np.uint16) << _SHIFT)
+def _add_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The base-by-base sum mod 4 of window keys: the low bits of each
+    field add with no carry out of it, the high bits by XOR."""
+    return ((a & _FIELDS) + (b & _FIELDS)) ^ ((a ^ b) & (_FIELDS << 1))
+
+
+def _key_bytes(keys: np.ndarray) -> np.ndarray:
+    """The (3, keys) low three bytes of little-endian window keys."""
+    return keys.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, :3].T
+
+
+def _packed_tables(keys: np.ndarray) -> list[np.ndarray]:
+    """Per byte of the 256 window ``keys``, one uint16 table indexed by
+    the byte's values: the mismatch count with each key << ``_SHIFT``,
+    plus the key's index in the first table only; so a window's entries
+    sum to ``distance << _SHIFT | index``."""
+    tables = [
+        _BYTE_MISMATCHES[np.arange(size, dtype=np.uint8)[:, None] ^ column] << _SHIFT
+        for size, column in zip(_BYTE_VALUES, _key_bytes(keys))
+    ]
     tables[0] |= np.arange(CODE_SIZE, dtype=np.uint16)
     return tables
 
 
-def _gather(rows: np.ndarray, tables: list[np.ndarray], out=None, part=None) -> np.ndarray:
-    """(rows, 256) packed distances of rows of values 0..3 to the rows the
-    tables were built from, into the buffers ``out`` and ``part`` if given."""
-    indices = (rows @ _GROUP_WEIGHTS).T
+def _gather(keys: np.ndarray, tables: list[np.ndarray], out=None, part=None) -> np.ndarray:
+    """(keys, 256) packed distances of window keys to the keys the tables
+    were built from, into the buffers ``out`` and ``part`` if given."""
+    indices = _key_bytes(keys)
     packed = np.take(tables[0], indices[0], axis=0, out=out, mode="clip")
     for table, index in zip(tables[1:], indices[1:]):
         packed += np.take(table, index, axis=0, out=part, mode="clip")
@@ -243,37 +252,43 @@ def _window_keys(windows: np.ndarray) -> np.ndarray:
     return keys
 
 
-def _key_windows(keys: np.ndarray) -> np.ndarray:
-    """The (keys, 11) base codes of packed window keys."""
-    windows = keys.astype("<u4", copy=False).view(np.uint8).reshape(-1, 4)[:, _KEY_BYTES]
-    return (windows >> 2 * _KEY_FIELDS) & 3
+def _flip_offsets(flips: int) -> np.ndarray:
+    """The keys that add 1, 2 or 3 to each of ``flips`` distinct bases:
+    every substitution of that many bases, as an offset to add by
+    :func:`_add_fields` (a substituted base never maps to itself)."""
+    return np.array(
+        [
+            sum(off << 2 * pos for pos, off in zip(positions, offsets))
+            for positions in combinations(range(CODEWORD_LENGTH), flips)
+            for offsets in product((1, 2, 3), repeat=flips)
+        ],
+        dtype=np.uint32,
+    )
 
 
 class CandidateImages:
-    """The codeword trits and their DNA images in context 'A', cached per
-    codebook, with the kernel's packed tables of both and the radius-1
-    table: the byte value of an image under the last nine bases of every
-    key within ``radius`` substitutions of it. ``radius`` is 1 when images
-    are at least 3 apart, which makes the image such a window's unique
-    decode, and else 0. Images' own keys are written last, so each image
-    owns its key unless another image shares its last nine bases."""
+    """The codeword trits and the keys of their DNA images in context
+    'A', cached per codebook, with the kernel's packed tables of both and
+    the radius-1 table: the byte value of an image under the last nine
+    bases of every key within ``radius`` substitutions of it. ``radius``
+    is 1 when images are at least 3 apart, which makes the image such a
+    window's unique decode, and else 0. Images' own keys are written
+    last, so each image owns its key unless another image shares its
+    last nine bases."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
-        self.images = encode_rows(self.words, 0)
-        self.image_tables = _packed_tables(self.images)
-        self.word_tables = _packed_tables(self.words)
-        self.image_keys = _window_keys(self.images)
+        self.image_keys = _window_keys(encode_rows(self.words, 0))
+        self.image_tables = _packed_tables(self.image_keys)
+        self.word_tables = _packed_tables(_window_keys(self.words))
         # the least DNA distance of two images, which no context shift changes
-        pairs = _gather(self.images, self.image_tables)
+        pairs = _gather(self.image_keys, self.image_tables)
         np.fill_diagonal(pairs, 0xFFFF)
         self.min_distance = int(pairs.min()) >> _SHIFT
         self.radius = min(1, (self.min_distance - 1) // 2)
         self.table = np.zeros(_INDEX + 1, dtype=np.uint8)
         if self.radius:
-            # XOR with 1, 2 or 3 in one field moves its base to each other base
-            flips = np.arange(1, 4, dtype=np.uint32) << 2 * np.arange(CODEWORD_LENGTH)[:, None]
-            near = self.image_keys[:, None] ^ flips.ravel().astype(np.uint32)
+            near = _add_fields(self.image_keys[:, None], _flip_offsets(1))
             self.table[near & _INDEX] = np.arange(CODE_SIZE)[:, None]
         self.table[self.image_keys & _INDEX] = np.arange(CODE_SIZE)
 
@@ -284,10 +299,7 @@ class CandidateImages:
         bases; the image is then its unique ML decode. Any other window
         needs the kernel, and its value and distance mean nothing.
         """
-        # subtract the context in every field by adding its negation: the
-        # low bits add with no carry out of the field, the high bits by XOR
-        negated = ((-contexts) & 3).astype(np.uint32) * np.uint32(_FIELDS)
-        keys = ((keys & _FIELDS) + (negated & _FIELDS)) ^ ((keys ^ negated) & (_FIELDS << 1))
+        keys = _add_fields(keys, _NEGATIONS[contexts])
         values = np.take(self.table, keys & _INDEX)
         keys ^= np.take(self.image_keys, values)
         mismatches = (keys | keys >> 1) & _FIELDS  # the low bit of each differing base
@@ -341,18 +353,18 @@ def decode_codeword_ml(
 
 
 def _batched_min_stats(
-    windows: np.ndarray, contexts: np.ndarray | int, images: CandidateImages
+    keys: np.ndarray, contexts: np.ndarray | int, images: CandidateImages
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Two-layer ML decode of rows of base codes, each received after its
+    """Two-layer ML decode of window keys, each received after its
     context base code: (byte values, DNA distances, ambiguous flags).
 
-    Each row is shifted into context 'A' and its packed distances to all
+    Each key is shifted into context 'A' and its packed distances to all
     images summed from the image tables; :func:`_nearest` reads the
     distance, the lowest-index nearest image and a tie flag from them.
-    Only the tied rows take the trit layer, inside the same block: the
+    Only the tied keys take the trit layer, inside the same block: the
     same search over the word tables, with untied images set to 0xFFFF.
     """
-    n = len(windows)
+    n = len(keys)
     contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
     values = np.empty(n, dtype=np.uint8)
     distances = np.empty(n, dtype=np.uint8)
@@ -360,7 +372,7 @@ def _batched_min_stats(
     buffers = np.empty((2, min(n, _BLOCK), CODE_SIZE), dtype=np.uint16)
     for start in range(0, n, _BLOCK):
         stop = min(n, start + _BLOCK)
-        shifted = (windows[start:stop] - contexts[start:stop, None]) & 3
+        shifted = _add_fields(keys[start:stop], _NEGATIONS[contexts[start:stop]])
         packed = _gather(shifted, images.image_tables, *buffers[:, : stop - start])
         best, tied = _nearest(packed)
         values[start:stop] = best & 0xFF
@@ -368,9 +380,12 @@ def _batched_min_stats(
         rows = np.flatnonzero(tied)
         if rows.size:
             # _nearest left a tied image below 255, or at 0xFFFF for the
-            # nearest; an unreadable position reads as 3, which matches no trit
+            # nearest; the trit reading adds to each base the complement
+            # of its predecessor ('A' before the first), so a repeated
+            # base reads 3, which matches no trit
             untied = packed[rows] + 1 >= CODE_SIZE
-            packed = _gather(decode_rows(shifted[rows], 0), images.word_tables)
+            shifted = shifted[rows]
+            packed = _gather(_add_fields(shifted, ~shifted >> 2), images.word_tables)
             packed[untied] = 0xFFFF
             best, ambiguous[start + rows] = _nearest(packed)
             values[start + rows] = best & 0xFF
@@ -394,14 +409,14 @@ def _decode_stream(
     round has just changed: that one waits for the next round, which
     looks up again every window whose context this round changed. Window
     k's context is final after at most k+1 rounds, so the result is the
-    sequential window-by-window decode. Only kernel rows are unpacked.
+    sequential window-by-window decode.
     """
     n = len(keys)
     # contexts[k] is the last base of window k-1 as last decoded
     contexts = np.empty(n + 1, dtype=np.uint8)
     contexts[0] = prev_code
     np.bitwise_and(keys, 3, out=contexts[1:], casting="unsafe")
-    last = images.images[:, -1]
+    last = (images.image_keys & 3).astype(np.uint8)
     values, distances, hit = np.empty((3, n), dtype=np.uint8)
     for lo in range(0, n, _LOOKUP_BLOCK):
         block = slice(lo, min(n, lo + _LOOKUP_BLOCK))
@@ -417,7 +432,7 @@ def _decode_stream(
         rows = todo[run]
         if rows.size:
             values[rows], distances[rows], ambiguous[rows] = _batched_min_stats(
-                _key_windows(keys[rows]), ctx[run], images
+                keys[rows], ctx[run], images
             )
         moves[run] = ((last[values[rows]] + ctx[run]) & 3) != contexts[rows + 1]
         todo = todo[moves]
@@ -641,20 +656,6 @@ class AuditResult:
         return self.unique_correct / self.cases if self.cases else 1.0
 
 
-def _substitution_patterns(positions: int, flips: int) -> np.ndarray:
-    """All (position, offset) combinations for the requested flip count.
-
-    Rows hold (p1, o1, p2, o2, ...) with positions strictly increasing
-    and offsets in 1..3 (a substituted base never maps to itself).
-    """
-    rows = [
-        [x for pair in zip(pos, offs) for x in pair]
-        for pos in combinations(range(positions), flips)
-        for offs in product((1, 2, 3), repeat=flips)
-    ]
-    return np.array(rows, dtype=np.int64)
-
-
 def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     """Exhaustively flip ``flips`` bases of every codeword image in every
     context and tally the decoder's behaviour.
@@ -664,19 +665,14 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     layers count as ambiguous even if the byte-value tiebreak happens to
     return the original.
     """
-    patterns = _substitution_patterns(CODEWORD_LENGTH, flips)
+    offsets = _flip_offsets(flips)
     images = candidate_images(codebook)
-    # each pattern as the offset it adds to each base of an image
-    offsets = np.zeros((len(patterns), CODEWORD_LENGTH), dtype=np.uint8)
-    for f in range(flips):
-        offsets[np.arange(len(patterns)), patterns[:, 2 * f]] = patterns[:, 2 * f + 1]
-    truth = np.repeat(np.arange(CODE_SIZE, dtype=np.uint8), len(patterns))
+    truth = np.repeat(np.arange(CODE_SIZE, dtype=np.uint8), len(offsets))
     cases = unique_correct = ambiguous = miscorrected = 0
     for context in range(len(DNA_ALPHABET)):
-        windows = (encode_rows(images.words, context)[:, None] + offsets) & 3
-        windows = windows.reshape(-1, CODEWORD_LENGTH)
-        values, _, flagged = _batched_min_stats(windows, context, images)
-        cases += len(windows)
+        keys = _add_fields(_window_keys(encode_rows(images.words, context))[:, None], offsets)
+        values, _, flagged = _batched_min_stats(keys.ravel(), context, images)
+        cases += keys.size
         unique_correct += int(((values == truth) & ~flagged).sum())
         ambiguous += int(flagged.sum())
         miscorrected += int(((values != truth) & ~flagged).sum())

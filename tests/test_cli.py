@@ -230,6 +230,26 @@ def test_simulate_bad_grid_is_usage_error(sample_file):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-code", "--family", "abc"],
+        ["cost-curve", "--sizes", "1,abc"],
+        ["cost-curve", "--sizes", "-5"],
+        ["capacity", "--l", "0"],
+        ["corrupt", "--in", "{fasta}", "--out", "{out}", "--count", "-1"],
+        ["simulate", "--in", "{sample}", "--grid", "bogus"],
+    ],
+)
+def test_malformed_arguments_are_usage_errors(tmp_path, sample_file, argv):
+    fasta = tmp_path / "clean.fasta"
+    run(["encode", "--in", str(sample_file), "--out", str(fasta)])
+    paths = {"fasta": fasta, "out": tmp_path / "x.fasta", "sample": sample_file}
+    with pytest.raises(SystemExit) as err:
+        run([arg.format_map(paths) for arg in argv])
+    assert err.value.code == 2
+
+
 def test_cost_curve_command(tmp_path, capsys):
     csv_path = tmp_path / "cost.csv"
     assert run(["cost-curve", "--sizes", "1000,1000000", "--csv", str(csv_path)]) == 0

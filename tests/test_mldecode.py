@@ -17,11 +17,12 @@ from dnagolay.chunks import (
 )
 from dnagolay.codebook import CodeFamilySpec, greedy_construct, load_codebook
 from dnagolay.mldecode import (
+    AuditResult,
     DuplicateChunkError,
     DecodeError,
+    _add_fields,
     _batched_min_stats,
-    _key_windows,
-    _substitution_patterns,
+    _flip_offsets,
     _window_keys,
     audit_substitutions,
     candidate_images,
@@ -31,7 +32,7 @@ from dnagolay.mldecode import (
     split_payload_stream,
 )
 from dnagolay.ternary import AlphabetError, weight
-from dnagolay.transcode import codes_to_dna, dna_codes, encode_rows, trits_to_dna
+from dnagolay.transcode import codes_to_dna, decode_rows, dna_codes, encode_rows, trits_to_dna
 from hamming import hamming
 
 
@@ -41,6 +42,11 @@ def lexicode():
     DNA images are only two substitutions apart."""
     words = greedy_construct(CodeFamilySpec.parse("11,256,3"))
     return load_codebook("\n".join(f"{i} {w} {weight(w)}" for i, w in enumerate(words)))
+
+
+def key_rows(keys):
+    """The (keys, 11) base codes of window keys, first base highest."""
+    return ((keys[:, None] >> 2 * np.arange(10, -1, -1)) & 3).astype(np.uint8)
 
 
 def corrupt(window, *flips):
@@ -137,9 +143,8 @@ def test_kernel_matches_scalar_decoder(codebook):
         windows.append(dna_codes(window))
         contexts.append("ACGT".index(prev))
         expected.append((decoded.byte_value, decoded.dna_distance, decoded.ambiguous))
-    values, distances, ambiguous = _batched_min_stats(
-        np.array(windows), np.array(contexts, dtype=np.uint8), candidate_images(codebook)
-    )
+    keys, contexts = _window_keys(np.array(windows)), np.array(contexts, dtype=np.uint8)
+    values, distances, ambiguous = _batched_min_stats(keys, contexts, candidate_images(codebook))
     got = list(zip(values.tolist(), distances.tolist(), ambiguous.tolist()))
     assert got == expected
     assert sum(amb for _, _, amb in expected) > 50
@@ -149,19 +154,11 @@ def test_kernel_matches_scalar_decoder(codebook):
 def flipped_windows(images, flips, values=slice(None)):
     """Every window ``flips`` substitutions from the images of ``values``
     (all by default), in every context: (windows, contexts)."""
-    patterns = _substitution_patterns(11, flips)
+    offsets = key_rows(_flip_offsets(flips))
     words = images.words[values]
-    windows, contexts = [], []
-    for context in range(4):
-        near = np.repeat(encode_rows(words, context), len(patterns), axis=0)
-        rows = np.arange(len(near))
-        for f in range(flips):
-            pos = np.tile(patterns[:, 2 * f], len(words))
-            off = np.tile(patterns[:, 2 * f + 1], len(words))
-            near[rows, pos] = (near[rows, pos] + off) & 3
-        windows.append(near)
-        contexts.append(np.full(len(near), context, dtype=np.uint8))
-    return np.concatenate(windows), np.concatenate(contexts)
+    windows = [(encode_rows(words, context)[:, None] + offsets) & 3 for context in range(4)]
+    contexts = np.repeat(np.arange(4, dtype=np.uint8), len(words) * len(offsets))
+    return np.concatenate(windows).reshape(-1, 11), contexts
 
 
 def radius_one_windows(images):
@@ -183,8 +180,9 @@ def test_lookup_table_matches_kernel_within_radius_one(codebook):
     windows, contexts, exact = radius_one_windows(images)
     assert len(windows) == 4 * 256 * 34
 
-    values, distances, hits = images.lookup(_window_keys(windows), contexts)
-    kernel = _batched_min_stats(windows, contexts, images)
+    keys = _window_keys(windows)
+    values, distances, hits = images.lookup(keys, contexts)
+    kernel = _batched_min_stats(keys, contexts, images)
     assert np.array_equal(values[hits], kernel[0][hits])
     assert np.array_equal(distances[hits], kernel[1][hits])
     assert not kernel[2][hits].any()
@@ -207,8 +205,9 @@ def test_lookup_table_holds_exact_keys_only_for_close_images(lexicode):
     images = candidate_images(lexicode)
     windows, contexts, exact = radius_one_windows(images)
 
-    values, distances, hits = images.lookup(_window_keys(windows), contexts)
-    kernel = _batched_min_stats(windows, contexts, images)
+    keys = _window_keys(windows)
+    values, distances, hits = images.lookup(keys, contexts)
+    kernel = _batched_min_stats(keys, contexts, images)
     assert np.array_equal(values[hits], kernel[0][hits])
     assert np.array_equal(distances[hits], kernel[1][hits])
     assert not kernel[2][hits].any()
@@ -229,7 +228,7 @@ def test_kernel_matches_scalar_reference_on_flips(book, request):
     assert len(values) == 16
     one, two = (flipped_windows(images, flips, values) for flips in (1, 2))
     windows, contexts = np.concatenate([one[0], two[0]]), np.concatenate([one[1], two[1]])
-    got = _batched_min_stats(windows, contexts, images)
+    got = _batched_min_stats(_window_keys(windows), contexts, images)
     expected = []
     for window, context in zip(windows, contexts):
         decoded = decode_codeword_ml(codes_to_dna(window), "ACGT"[context], codebook)
@@ -248,7 +247,7 @@ def test_kernel_tie_between_first_and_last_byte(lexicode):
     assert np.flatnonzero(distances == distances.min()).tolist() == [0, 255]
     decoded = decode_codeword_ml(window, "A", lexicode)
     values, dna_distances, ambiguous = _batched_min_stats(
-        dna_codes(window)[None], 0, candidate_images(lexicode)
+        _window_keys(dna_codes(window)[None]), 0, candidate_images(lexicode)
     )
     assert (values[0], dna_distances[0], ambiguous[0]) == (
         decoded.byte_value, decoded.dna_distance, decoded.ambiguous
@@ -265,7 +264,7 @@ def test_kernel_runner_up_one_base_farther_with_lower_index(lexicode):
     assert np.flatnonzero(distances == distances.min()).tolist() == [255]
     assert distances[0] == distances.min() + 1
     values, dna_distances, ambiguous = _batched_min_stats(
-        dna_codes(window)[None], 0, candidate_images(lexicode)
+        _window_keys(dna_codes(window)[None]), 0, candidate_images(lexicode)
     )
     assert (values[0], dna_distances[0], ambiguous[0]) == (255, 2, False)
     decoded = decode_codeword_ml(window, "A", lexicode)
@@ -290,13 +289,12 @@ def test_every_table_hit_agrees_with_kernel(codebook, cases):
     contexts = np.array([context for _, context, _, _ in cases], dtype=np.uint8)
     for row, (value, context, flips, _) in enumerate(cases):
         if value is not None:
-            windows[row] = (images.images[value] + context) & 3
+            windows[row] = encode_rows(images.words[value][None], context)[0]
             for pos, off in flips:
                 windows[row, pos] = (windows[row, pos] + off) & 3
-    values, distances, hits = images.lookup(_window_keys(windows), contexts)
-    kernel_values, kernel_distances, kernel_ambiguous = _batched_min_stats(
-        windows, contexts, images
-    )
+    keys = _window_keys(windows)
+    values, distances, hits = images.lookup(keys, contexts)
+    kernel_values, kernel_distances, kernel_ambiguous = _batched_min_stats(keys, contexts, images)
     assert np.array_equal(values[hits], kernel_values[hits])
     assert np.array_equal(distances[hits], kernel_distances[hits])
     assert not kernel_ambiguous[hits].any()
@@ -304,8 +302,8 @@ def test_every_table_hit_agrees_with_kernel(codebook, cases):
 
 
 def test_substitution_pattern_counts():
-    assert len(_substitution_patterns(11, 1)) == 33
-    assert len(_substitution_patterns(11, 2)) == 495
+    assert len(_flip_offsets(1)) == 33
+    assert len(_flip_offsets(2)) == 495
 
 
 # --- chunk decoding -------------------------------------------------------------
@@ -358,21 +356,30 @@ def test_decode_chunk_rejects_non_dna_symbol(codebook):
         decode_chunk(damaged, codebook)
 
 
-def test_key_windows_unpack_window_keys():
-    windows = np.random.default_rng(4).integers(0, 4, size=(500, 11), dtype=np.uint8)
-    windows[0], windows[1] = 0, 3
-    keys = _window_keys(windows)
+def test_key_arithmetic_matches_base_rows():
+    """On packed keys, the context shift, the trit reading and the audit's
+    flips are the same steps on rows of base codes, in every context."""
+    rows = np.random.default_rng(4).integers(0, 4, size=(500, 11), dtype=np.uint8)
+    rows[0], rows[1] = 0, 3
+    keys = _window_keys(rows)
     assert keys.max() < 4**11
-    assert (_key_windows(keys) == windows).all()
-    assert _key_windows(keys[:0]).shape == (0, 11)
+    assert (key_rows(keys) == rows).all()
+    offsets = _flip_offsets(1)
+    flipped = key_rows(_add_fields(keys[:, None], offsets).ravel())
+    assert (flipped == ((rows[:, None] + key_rows(offsets)) & 3).reshape(-1, 11)).all()
+    for ctx in range(4):
+        shifted = _add_fields(keys, mldecode._NEGATIONS[ctx])
+        assert np.array_equal(shifted, _window_keys((rows - ctx) & 3))
+        reading = _add_fields(shifted, ~shifted >> 2)
+        assert np.array_equal(reading, _window_keys(decode_rows((rows - ctx) & 3, 0)))
 
 
 def test_stream_decode_skips_the_kernel_when_no_window_needs_it(codebook, monkeypatch):
     rows = []
 
-    def kernel(windows, contexts, images):
-        rows.append(len(windows))
-        return _batched_min_stats(windows, contexts, images)
+    def kernel(keys, contexts, images):
+        rows.append(len(keys))
+        return _batched_min_stats(keys, contexts, images)
 
     monkeypatch.setattr(mldecode, "_batched_min_stats", kernel)
     for seed in range(40):
@@ -654,9 +661,9 @@ def test_stream_decode_sends_few_windows_to_kernel(codebook, monkeypatch, channe
     the few the table cannot place and those queued behind them."""
     rows = []
 
-    def counted(windows, contexts, images):
-        rows.append(len(windows))
-        return _batched_min_stats(windows, contexts, images)
+    def counted(keys, contexts, images):
+        rows.append(len(keys))
+        return _batched_min_stats(keys, contexts, images)
 
     monkeypatch.setattr(mldecode, "_batched_min_stats", counted)
     content = np.random.default_rng(8).integers(0, 256, 1 << 16, dtype=np.uint8).tobytes()
@@ -667,6 +674,13 @@ def test_stream_decode_sends_few_windows_to_kernel(codebook, monkeypatch, channe
     assert result.content == content
     windows = len(result.per_chunk.codeword_distances)
     assert sum(rows) <= share * windows
+
+
+def test_lexicode_audit_pinned(lexicode):
+    """Images two substitutions apart tie at distance 1 as well as 2, so
+    the lexicode's audit takes the trit layer on single flips too."""
+    assert audit_substitutions(lexicode, 1) == AuditResult(33792, 29912, 2768, 1112)
+    assert audit_substitutions(lexicode, 2) == AuditResult(506880, 320148, 90516, 96216)
 
 
 def test_audit_single_flip_smoke(codebook):
