@@ -169,13 +169,17 @@ def corrupt_records(
 
 @dataclass(frozen=True)
 class MonteCarloRow:
-    """Aggregated decode quality for one channel setting."""
+    """Aggregated decode quality for one channel setting. An aborted
+    decode counts as 0 in ``byte_accuracy`` and ``file_exact_rate``, and
+    in ``aborted_rate`` only: ``parity_failure_rate`` is the mean over
+    the trials that decoded, and 0.0 when none did."""
 
     spec: ChannelSpec
     trials: int
     byte_accuracy: float
     parity_failure_rate: float
     file_exact_rate: float
+    aborted_rate: float
 
     def to_dict(self) -> dict:
         return {
@@ -185,6 +189,7 @@ class MonteCarloRow:
             "byte_accuracy": self.byte_accuracy,
             "parity_failure_rate": self.parity_failure_rate,
             "file_exact_rate": self.file_exact_rate,
+            "aborted_rate": self.aborted_rate,
         }
 
 
@@ -194,13 +199,15 @@ def _run_trial(
     codebook: ByteCodebook,
     spec: ChannelSpec,
     trial: int,
-) -> tuple[float, float, float]:
+) -> tuple[float, float | None, float]:
+    """(byte accuracy, parity failure rate, exactness) of one trial; the
+    parity failure rate is None when the decode aborted."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
     corrupted = corrupt_records(records, spec, rng)
     try:
         result = decode_file(corrupted, codebook)
     except DecodeError:
-        return 0.0, 1.0, 0.0
+        return 0.0, None, 0.0
     decoded = result.content
     if content:
         n = min(len(decoded), len(content))
@@ -231,16 +238,15 @@ def monte_carlo_decode(
     rows = []
     for spec in grid:
         outcomes = [_run_trial(records, fd.content, codebook, spec, t) for t in range(trials)]
-        acc = sum(o[0] for o in outcomes) / trials
-        par = sum(o[1] for o in outcomes) / trials
-        exact = sum(o[2] for o in outcomes) / trials
+        parity = [o[1] for o in outcomes if o[1] is not None]
         rows.append(
             MonteCarloRow(
                 spec=spec,
                 trials=trials,
-                byte_accuracy=acc,
-                parity_failure_rate=par,
-                file_exact_rate=exact,
+                byte_accuracy=sum(o[0] for o in outcomes) / trials,
+                parity_failure_rate=sum(parity) / len(parity) if parity else 0.0,
+                file_exact_rate=sum(o[2] for o in outcomes) / trials,
+                aborted_rate=(trials - len(parity)) / trials,
             )
         )
     return rows

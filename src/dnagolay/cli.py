@@ -235,12 +235,16 @@ def _cmd_simulate(args) -> int:
     with _usage_errors():
         grid = [ChannelSpec.parse(item, args.seed) for item in args.grid.split(";")]
     rows = monte_carlo_decode(fd, codebook, grid, args.trials, args.chunk_bases)
-    header = f"{'channel':>12} {'trials':>7} {'byte_acc':>9} {'parity_fail':>11} {'file_exact':>10}"
+    header = (
+        f"{'channel':>12} {'trials':>7} {'byte_acc':>9} {'parity_fail':>11} "
+        f"{'file_exact':>10} {'aborted':>8}"
+    )
     print(header)
     for row in rows:
         print(
             f"{row.spec.label:>12} {row.trials:>7} {row.byte_accuracy:>9.4f} "
-            f"{row.parity_failure_rate:>11.4f} {row.file_exact_rate:>10.4f}"
+            f"{row.parity_failure_rate:>11.4f} {row.file_exact_rate:>10.4f} "
+            f"{row.aborted_rate:>8.4f}"
         )
     if args.csv:
         Path(args.csv).write_text(rows_to_csv(rows), encoding="utf-8")

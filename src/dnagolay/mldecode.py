@@ -23,7 +23,10 @@ window decodes to it uniquely. Every other window goes to the kernel,
 :func:`decode_codeword_ml` is its scalar reference. The kernel sums one
 uint16 table row per key byte into ``distance << 9 | index`` for all
 256 images: one row minimum gives the distance and the nearest image,
-and a second one any tie.
+and a second one any tie. Both layers read only the shifted key, so the
+kernel decodes each distinct shifted key of a slice once; the audit
+gives it each block of codewords in all four contexts in one call, so a
+flipped image is decoded once for the four.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -187,6 +190,7 @@ class DecodeResult:
 
 
 _BLOCK = 1024  # windows per kernel block; each (rows, 256) uint16 buffer is 512 KiB
+_SLICE = _BLOCK << 4  # windows per kernel slice, whose distinct shifted keys are decoded once
 _LOOKUP_BLOCK = 1 << 16  # windows per block of table lookups
 _SHIFT = 9  # a packed table entry is mismatches << _SHIFT, plus the image index
 _FIELDS = sum(1 << 2 * col for col in range(CODEWORD_LENGTH))  # low bit of every base field
@@ -358,37 +362,45 @@ def _batched_min_stats(
     """Two-layer ML decode of window keys, each received after its
     context base code: (byte values, DNA distances, ambiguous flags).
 
-    Each key is shifted into context 'A' and its packed distances to all
-    images summed from the image tables; :func:`_nearest` reads the
-    distance, the lowest-index nearest image and a tie flag from them.
-    Only the tied keys take the trit layer, inside the same block: the
-    same search over the word tables, with untied images set to 0xFFFF.
+    Keys are shifted into context 'A' ``_SLICE`` at a time, and each
+    distinct shifted key of a slice is decoded once; both layers read
+    only the shifted key, so its result is scattered back to every key
+    that shares it. Per block of distinct keys, the packed distances to
+    all images are summed from the image tables; :func:`_nearest` reads
+    the distance, the lowest-index nearest image and a tie flag from
+    them. Only the tied keys take the trit layer, inside the same block:
+    the same search over the word tables, with untied images set to 0xFFFF.
     """
     n = len(keys)
     contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
     values = np.empty(n, dtype=np.uint8)
     distances = np.empty(n, dtype=np.uint8)
-    ambiguous = np.zeros(n, dtype=bool)
+    ambiguous = np.empty(n, dtype=bool)
     buffers = np.empty((2, min(n, _BLOCK), CODE_SIZE), dtype=np.uint16)
-    for start in range(0, n, _BLOCK):
-        stop = min(n, start + _BLOCK)
-        shifted = _add_fields(keys[start:stop], _NEGATIONS[contexts[start:stop]])
-        packed = _gather(shifted, images.image_tables, *buffers[:, : stop - start])
-        best, tied = _nearest(packed)
-        values[start:stop] = best & 0xFF
-        distances[start:stop] = best >> _SHIFT
-        rows = np.flatnonzero(tied)
-        if rows.size:
-            # _nearest left a tied image below 255, or at 0xFFFF for the
-            # nearest; the trit reading adds to each base the complement
-            # of its predecessor ('A' before the first), so a repeated
-            # base reads 3, which matches no trit
-            untied = packed[rows] + 1 >= CODE_SIZE
-            shifted = shifted[rows]
-            packed = _gather(_add_fields(shifted, ~shifted >> 2), images.word_tables)
-            packed[untied] = 0xFFFF
-            best, ambiguous[start + rows] = _nearest(packed)
-            values[start + rows] = best & 0xFF
+    for lo in range(0, n, _SLICE):
+        part = slice(lo, lo + _SLICE)
+        distinct, inverse = np.unique(
+            _add_fields(keys[part], _NEGATIONS[contexts[part]]), return_inverse=True
+        )
+        found = np.zeros((3, len(distinct)), dtype=np.uint8)  # values, distances, ties
+        for start in range(0, len(distinct), _BLOCK):
+            shifted = distinct[start : start + _BLOCK]
+            packed = _gather(shifted, images.image_tables, *buffers[:, : len(shifted)])
+            best, tied = _nearest(packed)
+            found[:2, start : start + _BLOCK] = best & 0xFF, best >> _SHIFT
+            rows = np.flatnonzero(tied)
+            if rows.size:
+                # _nearest left a tied image below 255, or at 0xFFFF for the
+                # nearest; the trit reading adds to each base the complement
+                # of its predecessor ('A' before the first), so a repeated
+                # base reads 3, which matches no trit
+                untied = packed[rows] + 1 >= CODE_SIZE
+                shifted = shifted[rows]
+                packed = _gather(_add_fields(shifted, ~shifted >> 2), images.word_tables)
+                packed[untied] = 0xFFFF
+                best, found[2, start + rows] = _nearest(packed)
+                found[0, start + rows] = best & 0xFF
+        values[part], distances[part], ambiguous[part] = found[:, inverse]
     return values, distances, ambiguous
 
 
@@ -664,18 +676,30 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     back with the ambiguous flag clear. Ties that survive both decoding
     layers count as ambiguous even if the byte-value tiebreak happens to
     return the original.
+
+    The codewords go to the kernel in blocks, each in all four contexts
+    in one call of at most ``_SLICE`` windows. Every case is shifted by
+    its own context and tallied from its own result; the kernel decodes
+    a flipped image once for all four contexts, as they share its shift
+    into context 'A'.
     """
     offsets = _flip_offsets(flips)
     images = candidate_images(codebook)
-    truth = np.repeat(np.arange(CODE_SIZE, dtype=np.uint8), len(offsets))
+    contexts = np.arange(len(DNA_ALPHABET), dtype=np.uint8)
+    received = np.stack([_window_keys(encode_rows(images.words, c)) for c in contexts])
+    words = max(1, _SLICE // (len(contexts) * max(1, len(offsets))))
     cases = unique_correct = ambiguous = miscorrected = 0
-    for context in range(len(DNA_ALPHABET)):
-        keys = _add_fields(_window_keys(encode_rows(images.words, context))[:, None], offsets)
-        values, _, flagged = _batched_min_stats(keys.ravel(), context, images)
+    for lo in range(0, CODE_SIZE, words):
+        keys = _add_fields(received[:, lo : lo + words, None], offsets)
+        values, _, flagged = _batched_min_stats(
+            keys.ravel(), np.repeat(contexts, keys[0].size), images
+        )
+        correct = values.reshape(keys.shape) == np.arange(lo, lo + keys.shape[1])[:, None]
+        flagged = flagged.reshape(keys.shape)
         cases += keys.size
-        unique_correct += int(((values == truth) & ~flagged).sum())
+        unique_correct += int((correct & ~flagged).sum())
         ambiguous += int(flagged.sum())
-        miscorrected += int(((values != truth) & ~flagged).sum())
+        miscorrected += int((~correct & ~flagged).sum())
     return AuditResult(
         cases=cases,
         unique_correct=unique_correct,

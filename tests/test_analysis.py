@@ -19,7 +19,7 @@ from dnagolay.analysis import (
     synthesis_cost,
 )
 from dnagolay.chunks import ChunkRecord, FileDescriptor, encode_file
-from dnagolay.mldecode import decode_file
+from dnagolay.mldecode import DecodeError, decode_file
 from dnagolay.transcode import codes_to_dna
 from hamming import hamming
 
@@ -206,6 +206,44 @@ def test_monte_carlo_heavy_corruption_degrades(codebook):
     # re-measured when the count channel became one array pass (the
     # mapping from seed to flips changed)
     assert rows[0].byte_accuracy == pytest.approx(0.012109375, abs=0)
+
+
+def test_monte_carlo_counts_aborts_apart_from_parity(codebook):
+    """At a per-base rate of 3e-3 on 1 KiB, damaged headers make some
+    decodes abort: they count 0 in byte accuracy and exactness and show
+    in ``aborted_rate`` only; the parity failure rate is the mean over
+    the trials that decoded."""
+    fd = FileDescriptor(content=bytes(range(256)) * 4, extension="bin")
+    spec, trials = ChannelSpec.parse("rate:3e-3", seed=1), 8
+    [row] = monte_carlo_decode(fd, codebook, [spec], trials=trials)
+    records = encode_file(fd, codebook)
+    accuracies, parity = [], []
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
+        try:
+            result = decode_file(corrupt_records(records, spec, rng), codebook)
+        except DecodeError:
+            accuracies.append(0.0)
+            continue
+        n = min(len(result.content), len(fd.content))
+        same = np.frombuffer(result.content, np.uint8, n) == np.frombuffer(fd.content, np.uint8, n)
+        accuracies.append(int(same.sum()) / len(fd.content))
+        chunks = len(result.per_chunk) + len(result.unrecoverable_chunks)
+        parity.append(int((~result.per_chunk.parity_ok).sum()) / chunks)
+    assert 0 < len(parity) < trials
+    assert row.aborted_rate == (trials - len(parity)) / trials
+    assert row.byte_accuracy == sum(accuracies) / trials
+    assert row.parity_failure_rate == sum(parity) / len(parity)
+    assert row.file_exact_rate <= 1 - row.aborted_rate
+    assert row.to_dict()["aborted_rate"] == row.aborted_rate
+    assert rows_to_csv([row]).splitlines()[0].endswith(",aborted_rate")
+
+
+def test_monte_carlo_all_aborted_has_no_parity_failures(codebook):
+    """When every trial aborts, nothing decoded fails parity."""
+    fd = FileDescriptor(content=bytes(range(256)) * 4, extension="bin")
+    [row] = monte_carlo_decode(fd, codebook, [ChannelSpec.parse("rate:1e-2", seed=1)], trials=4)
+    assert (row.aborted_rate, row.parity_failure_rate, row.byte_accuracy) == (1.0, 0.0, 0.0)
 
 
 def test_monte_carlo_validates_trials(codebook):

@@ -208,6 +208,8 @@ def test_simulate_table_and_determinism(tmp_path, sample_file, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "count=0" in first and "count=1" in first
+    columns = ["channel", "trials", "byte_acc", "parity_fail", "file_exact", "aborted"]
+    assert first.split()[:6] == columns
 
 
 def test_simulate_csv(tmp_path, sample_file):

@@ -306,6 +306,64 @@ def test_substitution_pattern_counts():
     assert len(_flip_offsets(2)) == 495
 
 
+def test_kernel_shares_each_distinct_shifted_key_across_slices(codebook):
+    """Each of 5,000 windows in context 'A' received in all four contexts,
+    shuffled: 20,000 keys, so every shifted key repeats within a slice of
+    the kernel and across the slice boundary. Every key decodes as its
+    shifted key does alone, and as the scalar reference does on a sample."""
+    images = candidate_images(codebook)
+    rng = np.random.default_rng(11)
+    # 1,980 windows two substitutions from four images, the rest random
+    near, near_contexts = flipped_windows(images, 2, rng.choice(256, 4, replace=False))
+    shifted = np.concatenate(
+        [near[near_contexts == 0], rng.integers(0, 4, (3020, 11), dtype=np.uint8)]
+    )
+    contexts = np.repeat(np.arange(4, dtype=np.uint8), len(shifted))
+    keys = _add_fields(np.tile(_window_keys(shifted), 4), contexts * np.uint32(mldecode._FIELDS))
+    order = rng.permutation(len(keys))
+    keys, contexts = keys[order], contexts[order]
+    assert len(keys) > mldecode._SLICE
+
+    got = list(zip(*(column.tolist() for column in _batched_min_stats(keys, contexts, images))))
+    alone = [
+        tuple(column[0] for column in _batched_min_stats(key[None], 0, images))
+        for key in _window_keys(shifted)
+    ]
+    assert got == [alone[row] for row in (order % len(shifted)).tolist()]
+    assert any(ambiguous for _, _, ambiguous in got)
+    for row in random.Random(11).sample(range(len(keys)), 200):
+        decoded = decode_codeword_ml(
+            codes_to_dna(key_rows(keys[row : row + 1])[0]), "ACGT"[contexts[row]], codebook
+        )
+        assert got[row] == (decoded.byte_value, decoded.dna_distance, decoded.ambiguous)
+
+
+def test_audit_decodes_each_flipped_image_once(codebook, monkeypatch):
+    """The audit sends the kernel each flipped image once for all four
+    contexts: 8,448 rows for single flips, at most a quarter of the
+    506,880 double-flip cases."""
+    images = candidate_images(codebook)
+    rows = []
+
+    def counted(keys, tables, *buffers):
+        if tables is images.image_tables:
+            rows.append(len(keys))
+        return gather(keys, tables, *buffers)
+
+    gather = mldecode._gather
+    monkeypatch.setattr(mldecode, "_gather", counted)
+    assert audit_substitutions(codebook, 1) == AuditResult(33792, 33792, 0, 0)
+    assert sum(rows) == 256 * 33
+    rows.clear()
+    assert audit_substitutions(codebook, 2) == AuditResult(506880, 497356, 5400, 4124)
+    assert sum(rows) <= 256 * 495
+
+
+def test_audit_without_flips_and_with_more_flips_than_bases(codebook):
+    assert audit_substitutions(codebook, 0) == AuditResult(1024, 1024, 0, 0)
+    assert audit_substitutions(codebook, 12) == AuditResult(0, 0, 0, 0)
+
+
 # --- chunk decoding -------------------------------------------------------------
 
 def test_decode_chunk_clean(codebook):
