@@ -121,6 +121,8 @@ def _cmd_decode(args) -> int:
         f"(declared {result.size_bytes}, extension {result.extension!r})"
     )
     print(f"chunks: {len(result.per_chunk)}, substitutions corrected: {corrected}")
+    if result.set_aside:
+        print(f"records set aside (chunk index already taken): {len(result.set_aside)}")
     if result.fully_recovered:
         print(f"wrote {out}")
         return EXIT_OK

@@ -60,7 +60,7 @@ from .transcode import (
     BASE_INDEX,
     DEFAULT_PREV_BASE,
     codes_to_dna,
-    decode_codes,
+    decode_rows,
     dna_codes,
     encode_rows,
 )
@@ -68,19 +68,6 @@ from .transcode import (
 
 class DecodeError(ValueError):
     """Raised when records cannot be assembled into a file at all."""
-
-
-class DuplicateChunkError(DecodeError):
-    """Two records claim the same chunk index with different contents."""
-
-    def __init__(self, chunk_index: int, first: ChunkRecord, second: ChunkRecord):
-        super().__init__(
-            f"chunk index {chunk_index} appears twice with conflicting contents: "
-            f"{first.sequence} vs {second.sequence}"
-        )
-        self.chunk_index = chunk_index
-        self.first = first
-        self.second = second
 
 
 @dataclass(frozen=True)
@@ -165,6 +152,7 @@ class DecodeResult:
     unrecoverable_chunks: list[int]
     file_id: int
     trailer_ok: bool
+    set_aside: list[int]
 
     @property
     def fully_recovered(self) -> bool:
@@ -185,6 +173,7 @@ class DecodeResult:
             "trailer_ok": self.trailer_ok,
             "fully_recovered": self.fully_recovered,
             "unrecoverable_chunks": self.unrecoverable_chunks,
+            "set_aside": self.set_aside,
             "chunks": [rep.to_dict() for rep in self.per_chunk],
         }
 
@@ -343,7 +332,7 @@ def decode_codeword_ml(
     tied = np.flatnonzero(dists == best)
 
     # an unreadable position reads as 3, which mismatches every candidate
-    reading = decode_codes(received, prev_code)
+    reading = decode_rows(received[None], prev_code)[0]
     trit_dists = (words[tied] != reading).sum(axis=1)
     best_trit = int(trit_dists.min())
     finalists = tied[trit_dists == best_trit]
@@ -555,26 +544,17 @@ def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
     return stream[:opens], int(digits), extension, ok
 
 
-def _differ(batch: ChunkBatch, first: np.ndarray, second: np.ndarray) -> np.ndarray:
-    """Whether the sequences of records ``first`` and ``second`` differ,
-    pair by pair; pairs of one length are compared as one matrix."""
-    lengths, starts = batch.lengths, batch.starts
-    differ = lengths[first] != lengths[second]
-    for length in np.unique(lengths[first][~differ]).tolist():
-        rows = np.flatnonzero(~differ & (lengths[first] == length))
-        records = sliding_window_view(batch.codes, length)
-        differ[rows] = (records[starts[first[rows]]] != records[starts[second[rows]]]).any(axis=1)
-    return differ
-
-
 def decode_file(
     records: Sequence[ChunkRecord], codebook: ByteCodebook
 ) -> DecodeResult:
     """Reassemble and decode a full file from chunk records.
 
     Records may arrive in any order; indices come from the decoded
-    headers. Missing chunks are reported and stand in as zero bytes so
-    later content keeps its offsets.
+    headers. Each index keeps one record: the first whose header passes
+    parity and names the majority file id, else its first record. The
+    others are listed in ``set_aside`` by input position. Missing chunks
+    are reported and stand in as zero bytes so later content keeps its
+    offsets.
     """
     batch = ChunkBatch.of(records)
     if not len(batch):
@@ -582,24 +562,12 @@ def decode_file(
     images = candidate_images(codebook)
 
     fid_arr, index_arr, parity_arr = batch.decoded_headers()
-    counts = np.bincount(fid_arr)
-    file_id = int(np.flatnonzero(counts == counts.max())[0])
-
-    order_all = np.argsort(index_arr, kind="stable")
-    sorted_idx = index_arr[order_all]
-    dup_mask = sorted_idx[1:] == sorted_idx[:-1]
-    if dup_mask.any():
-        first, second = order_all[:-1][dup_mask], order_all[1:][dup_mask]
-        conflicts = np.flatnonzero(_differ(batch, first, second))
-        if conflicts.size:
-            k = int(conflicts[0])
-            raise DuplicateChunkError(
-                int(index_arr[first[k]]), batch[int(first[k])], batch[int(second[k])]
-            )
-        keep = np.concatenate(([True], ~dup_mask))
-        order = order_all[keep]
-    else:
-        order = order_all
+    file_id = int(np.bincount(fid_arr).argmax())
+    # a stable sort by index, trusted headers first within an index
+    order = np.lexsort((~(parity_arr & (fid_arr == file_id)), index_arr))
+    kept = np.concatenate(([True], np.diff(index_arr[order]) != 0))
+    set_aside = np.sort(order[~kept]).tolist()
+    order = order[kept]
 
     present = index_arr[order]
     keys, counts = _payload_keys(batch, order)
@@ -651,6 +619,7 @@ def decode_file(
         unrecoverable_chunks=missing,
         file_id=file_id,
         trailer_ok=trailer_ok,
+        set_aside=set_aside,
     )
 
 

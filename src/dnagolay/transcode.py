@@ -91,15 +91,6 @@ def encode_codes(trit_values: np.ndarray, prev_code: int) -> np.ndarray:
     return (prev_code + np.cumsum(steps, dtype=np.uint8)) & 3
 
 
-def decode_codes(base_codes: np.ndarray, prev_code: int) -> np.ndarray:
-    """Vectorized rotation decode; the value 3 marks a forbidden repeat."""
-    shifted = np.empty_like(base_codes)
-    if len(base_codes):
-        shifted[0] = prev_code
-        shifted[1:] = base_codes[:-1]
-    return (base_codes - shifted - 1) & 3
-
-
 def trits_to_dna(trits: str, prev_base: str = DEFAULT_PREV_BASE) -> str:
     """Encode a trit string as DNA that never repeats a base.
 
@@ -145,6 +136,6 @@ def encode_words(word_trits: np.ndarray, words: np.ndarray, prev_code: int) -> n
 def decode_rows(base_rows: np.ndarray, prev_code: int) -> np.ndarray:
     """Rotation-decode a (rows, width) base-code matrix; 3 marks repeats."""
     shifted = np.empty_like(base_rows)
-    shifted[:, 0] = prev_code
+    shifted[:, :1] = prev_code
     shifted[:, 1:] = base_rows[:, :-1]
     return (base_rows - shifted - 1) & 3

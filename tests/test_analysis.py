@@ -1,9 +1,11 @@
+import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from dnagolay import analysis
 from dnagolay.analysis import (
     CAPACITY_FORMULA,
     CapacityParams,
@@ -208,29 +210,44 @@ def test_monte_carlo_heavy_corruption_degrades(codebook):
     assert rows[0].byte_accuracy == pytest.approx(0.012109375, abs=0)
 
 
-def test_monte_carlo_counts_aborts_apart_from_parity(codebook):
-    """At a per-base rate of 3e-3 on 1 KiB, damaged headers make some
-    decodes abort: they count 0 in byte accuracy and exactness and show
+def _abort_decodes(monkeypatch, trials=None):
+    """Make ``simulate``'s decode raise :class:`DecodeError` on the given
+    calls, counted from 0, or on every call when ``trials`` is None: no
+    channel makes ``decode_file`` itself abort."""
+    calls = itertools.count()
+
+    def aborting(records, codebook):
+        if trials is None or next(calls) in trials:
+            raise DecodeError("decode aborted")
+        return decode_file(records, codebook)
+
+    monkeypatch.setattr(analysis, "decode_file", aborting)
+
+
+def test_monte_carlo_counts_aborts_apart_from_parity(codebook, monkeypatch):
+    """Aborted decodes count 0 in byte accuracy and exactness and show
     in ``aborted_rate`` only; the parity failure rate is the mean over
-    the trials that decoded."""
+    the trials that decoded, which at a per-base rate of 3e-3 on 1 KiB
+    see damaged headers."""
     fd = FileDescriptor(content=bytes(range(256)) * 4, extension="bin")
-    spec, trials = ChannelSpec.parse("rate:3e-3", seed=1), 8
+    spec, trials, aborted = ChannelSpec.parse("rate:3e-3", seed=1), 8, {1, 4, 5}
+    _abort_decodes(monkeypatch, aborted)
     [row] = monte_carlo_decode(fd, codebook, [spec], trials=trials)
     records = encode_file(fd, codebook)
     accuracies, parity = [], []
     for trial in range(trials):
-        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
-        try:
-            result = decode_file(corrupt_records(records, spec, rng), codebook)
-        except DecodeError:
+        if trial in aborted:
             accuracies.append(0.0)
             continue
+        rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
+        result = decode_file(corrupt_records(records, spec, rng), codebook)
         n = min(len(result.content), len(fd.content))
         same = np.frombuffer(result.content, np.uint8, n) == np.frombuffer(fd.content, np.uint8, n)
         accuracies.append(int(same.sum()) / len(fd.content))
         chunks = len(result.per_chunk) + len(result.unrecoverable_chunks)
         parity.append(int((~result.per_chunk.parity_ok).sum()) / chunks)
     assert 0 < len(parity) < trials
+    assert sum(parity) > 0
     assert row.aborted_rate == (trials - len(parity)) / trials
     assert row.byte_accuracy == sum(accuracies) / trials
     assert row.parity_failure_rate == sum(parity) / len(parity)
@@ -239,11 +256,21 @@ def test_monte_carlo_counts_aborts_apart_from_parity(codebook):
     assert rows_to_csv([row]).splitlines()[0].endswith(",aborted_rate")
 
 
-def test_monte_carlo_all_aborted_has_no_parity_failures(codebook):
+def test_monte_carlo_all_aborted_has_no_parity_failures(codebook, monkeypatch):
     """When every trial aborts, nothing decoded fails parity."""
     fd = FileDescriptor(content=bytes(range(256)) * 4, extension="bin")
+    _abort_decodes(monkeypatch)
     [row] = monte_carlo_decode(fd, codebook, [ChannelSpec.parse("rate:1e-2", seed=1)], trials=4)
     assert (row.aborted_rate, row.parity_failure_rate, row.byte_accuracy) == (1.0, 0.0, 0.0)
+
+
+def test_monte_carlo_decodes_every_trial_of_a_noisy_channel(codebook):
+    """At a per-base rate of 1e-2 headers collide, yet no decode aborts."""
+    fd = FileDescriptor(content=bytes(range(256)) * 4, extension="bin")
+    [row] = monte_carlo_decode(fd, codebook, [ChannelSpec.parse("rate:1e-2", seed=1)], trials=4)
+    assert row.aborted_rate == 0.0
+    assert row.parity_failure_rate > 0
+    assert row.byte_accuracy > 0.9
 
 
 def test_monte_carlo_validates_trials(codebook):

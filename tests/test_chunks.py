@@ -21,7 +21,7 @@ from dnagolay.chunks import (
     parse_fasta,
 )
 from dnagolay.ternary import AlphabetError
-from dnagolay.transcode import BASE_INDEX, decode_codes, dna_codes, trits_to_dna
+from dnagolay.transcode import BASE_INDEX, decode_rows, dna_codes, trits_to_dna
 
 
 def cw(codebook, char):
@@ -30,7 +30,7 @@ def cw(codebook, char):
 
 def read_trits(dna):
     """The trits of DNA written after an 'A', with 3 for a repeated base."""
-    return "".join(map(str, decode_codes(dna_codes(dna), BASE_INDEX["A"]).tolist()))
+    return "".join(map(str, decode_rows(dna_codes(dna)[None], BASE_INDEX["A"])[0].tolist()))
 
 
 def header_trits(file_id, chunk_index, mu):

@@ -1,7 +1,10 @@
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import dnagolay
 from dnagolay.chunks import decode_header, parse_fasta
 from dnagolay.cli import main
 from dnagolay.mldecode import DecodeResult
@@ -16,6 +19,15 @@ def sample_file(tmp_path):
     path = tmp_path / "sample.txt"
     path.write_bytes(b"DNA storage round trip sample \x00\xff payload")
     return path
+
+
+def test_version_matches_pyproject(capsys):
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    [version] = re.findall(r'^version = "([^"]+)"$', pyproject, flags=re.MULTILINE)
+    assert dnagolay.__version__ == version
+    with pytest.raises(SystemExit):
+        run(["--version"])
+    assert capsys.readouterr().out.strip() == version
 
 
 def test_encode_decode_round_trip(tmp_path, sample_file, capsys):
@@ -162,6 +174,25 @@ def test_decode_partial_on_missing_chunk(tmp_path, capsys):
     assert code == 1
     assert "missing chunk indices: [1]" in capsys.readouterr().out
     assert (tmp_path / "restored.bin.partial").exists()
+
+
+def test_decode_sets_aside_a_conflicting_record(tmp_path, sample_file, capsys):
+    fasta = tmp_path / "out.fasta"
+    run(["encode", "--in", str(sample_file), "--out", str(fasta)])
+    text = fasta.read_text()
+    first = parse_fasta(text)[0]
+    assert decode_header(first)[1] == 0
+    # chunk 0 again, its payload reversed under its own header
+    noisy = tmp_path / "noisy.fasta"
+    noisy.write_text(text + f">clone\n{first.payload_dna[::-1]}{first.header_dna}\n")
+    restored = tmp_path / "restored.txt"
+    report = tmp_path / "decode.json"
+    capsys.readouterr()
+    argv = ["decode", "--in", str(noisy), "--out", str(restored), "--report", str(report)]
+    assert run(argv) == 0
+    assert restored.read_bytes() == sample_file.read_bytes()
+    assert "records set aside (chunk index already taken): 1" in capsys.readouterr().out
+    assert json.loads(report.read_text())["set_aside"] == [len(parse_fasta(text))]
 
 
 def test_verify_code_reports_table_health(capsys):

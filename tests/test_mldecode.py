@@ -18,7 +18,6 @@ from dnagolay.chunks import (
 from dnagolay.codebook import CodeFamilySpec, greedy_construct, load_codebook
 from dnagolay.mldecode import (
     AuditResult,
-    DuplicateChunkError,
     DecodeError,
     _add_fields,
     _batched_min_stats,
@@ -508,16 +507,51 @@ def test_decode_file_verbatim_duplicates_collapse(codebook):
     assert result.fully_recovered
 
 
-def test_decode_file_conflicting_duplicate_raises(codebook):
-    fd = FileDescriptor(content=bytes(range(120)), extension="")
-    records = encode_file(fd, codebook)
-    clone = ChunkRecord(
-        payload_dna=records[1].payload_dna[::-1],
-        header_dna=records[1].header_dna,
+def _clone_of_chunk_1(records):
+    """Chunk 1's header over its payload reversed: a record that claims
+    index 1 with other contents and a header that passes parity."""
+    return ChunkRecord(
+        payload_dna=records[1].payload_dna[::-1], header_dna=records[1].header_dna
     )
-    with pytest.raises(DuplicateChunkError) as err:
-        decode_file(list(records) + [clone], codebook)
-    assert err.value.chunk_index == 1
+
+
+def test_decode_file_sets_aside_a_conflicting_record_after_the_original(codebook):
+    fd = FileDescriptor(content=bytes(range(120)), extension="")
+    records = list(encode_file(fd, codebook))
+    result = decode_file(records + [_clone_of_chunk_1(records)], codebook)
+    assert result.content == fd.content
+    assert result.fully_recovered
+    assert result.set_aside == [len(records)]
+    assert result.to_dict()["set_aside"] == [len(records)]
+
+
+def test_decode_file_keeps_the_first_of_two_trusted_records(codebook):
+    """Two records with the same good header: input order decides."""
+    fd = FileDescriptor(content=bytes(range(120)), extension="")
+    records = list(encode_file(fd, codebook))
+    result = decode_file([_clone_of_chunk_1(records)] + records, codebook)
+    assert result.set_aside == [2]
+    assert result.unrecoverable_chunks == []
+    assert len(result.per_chunk) == len(records)
+
+
+@pytest.mark.parametrize("minority_first", [False, True])
+def test_decode_file_sets_aside_the_records_of_a_pooled_minority_file(codebook, minority_first):
+    """Two files in one FASTA, the second shorter, so each of its
+    indices is taken by a record of the first: the majority file id
+    decodes exactly and every record of the other is set aside."""
+    major = FileDescriptor(content=bytes(range(216)), extension="bin", file_id=0)
+    minor = FileDescriptor(content=bytes(range(117))[::-1], extension="bin", file_id=1)
+    major_records, minor_records = (encode_file(fd, codebook) for fd in (major, minor))
+    assert len(minor_records) < len(major_records)
+    pooled = [major_records, minor_records][:: -1 if minority_first else 1]
+    parsed = parse_fasta("".join(map(emit_fasta, pooled)))
+    result = decode_file(parsed, codebook)
+    assert result.file_id == 0
+    assert result.content == major.content
+    assert result.fully_recovered
+    offset = 0 if minority_first else len(major_records)
+    assert result.set_aside == list(range(offset, offset + len(minor_records)))
 
 
 def test_decode_file_reports_gap_and_keeps_offsets(codebook):

@@ -6,7 +6,6 @@ from dnagolay.transcode import (
     BACKWARD,
     BASE_INDEX,
     FORWARD,
-    decode_codes,
     decode_rows,
     dna_codes,
     encode_rows,
@@ -55,13 +54,18 @@ def test_encode_zeros_walks_the_rotation():
     assert trits_to_dna("000", "A") == "CGT"
 
 
+def decode_one(codes, prev):
+    """The rotation decode of one row of base codes."""
+    return decode_rows(codes[None], BASE_INDEX[prev])[0]
+
+
 def read_trits(dna, prev):
-    return "".join(map(str, decode_codes(dna_codes(dna), BASE_INDEX[prev]).tolist()))
+    return "".join(map(str, decode_one(dna_codes(dna), prev).tolist()))
 
 
 def repeat_positions(dna, prev):
     """1-based positions where a base repeats its predecessor."""
-    return (np.flatnonzero(decode_codes(dna_codes(dna), BASE_INDEX[prev]) == 3) + 1).tolist()
+    return (np.flatnonzero(decode_one(dna_codes(dna), prev) == 3) + 1).tolist()
 
 
 def test_decode_known_codeword():
@@ -81,7 +85,7 @@ def test_decode_rejects_first_base_equal_to_context():
 
 
 def test_read_best_effort_marks_repeats():
-    assert decode_codes(dna_codes("CC"), BASE_INDEX["A"]).tolist() == [0, 3]
+    assert decode_one(dna_codes("CC"), "A").tolist() == [0, 3]
 
 
 @given(trit_strings, bases)
@@ -123,8 +127,8 @@ def test_single_flip_locality(data):
     clean = dna_codes(trits_to_dna(trits, prev))
     flipped = clean.copy()
     flipped[pos] = (flipped[pos] + offset) & 3
-    before = decode_codes(clean, BASE_INDEX[prev])
-    after = decode_codes(flipped, BASE_INDEX[prev])
+    before = decode_one(clean, prev)
+    after = decode_one(flipped, prev)
     changed = np.flatnonzero(before != after)
     assert pos in changed
     assert set(changed.tolist()) <= {pos, pos + 1}
