@@ -290,13 +290,10 @@ CAPACITY_FORMULA = (
     "x = (bases_per_gram * l) / (N * (l + 3 + log3(N * (x + overhead) / l)))"
     " - overhead"
 )
+_TOLERANCE, _MAX_ITERATIONS = 1e-12, 1000  # relative step that ends the iteration, and its cap
 
 
-def solve_capacity(
-    params: CapacityParams = CapacityParams(),
-    tolerance: float = 1e-12,
-    max_iterations: int = 1000,
-) -> CapacityResult:
+def solve_capacity(params: CapacityParams = CapacityParams()) -> CapacityResult:
     """Bytes storable per gram, from damped fixed-point iteration.
 
     Chunk-index trits grow logarithmically with the byte count, so the
@@ -313,11 +310,11 @@ def solve_capacity(
 
     x = c * l / (n * (l + 3))
     mu = 0.0
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, _MAX_ITERATIONS + 1):
         nxt, mu = step(x)
         if nxt <= 0:
             raise ConvergenceError(f"iterate left the domain: {nxt}")
-        if abs(nxt - x) / abs(nxt) < tolerance:
+        if abs(nxt - x) / abs(nxt) < _TOLERANCE:
             x = nxt
             fx, mu = step(x)
             return CapacityResult(
@@ -327,7 +324,7 @@ def solve_capacity(
                 iterations=iteration,
             )
         x = 0.5 * (x + nxt)
-    raise ConvergenceError(f"no convergence after {max_iterations} iterations")
+    raise ConvergenceError(f"no convergence after {_MAX_ITERATIONS} iterations")
 
 
 def code_rate(bits_per_symbol: int = 8, code_length: int = CODEWORD_LENGTH) -> float:
@@ -377,13 +374,12 @@ def cost_curve(
     file_sizes: list[int],
     extension: str = "",
     chunk_bases: int = DEFAULT_CHUNK_BASES,
-    per_base_usd: float = DEFAULT_COST_PER_BASE_USD,
 ) -> list[CostRow]:
     """Synthesis cost per size; cost/MB uses decimal megabytes."""
     rows = []
     for size in file_sizes:
         bases = count_record_bases(size, extension, chunk_bases)
-        cost = synthesis_cost(bases, per_base_usd)
+        cost = synthesis_cost(bases)
         per_mb = cost / (size / MEGABYTE) if size else math.inf
         rows.append(
             CostRow(

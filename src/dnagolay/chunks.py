@@ -449,11 +449,10 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
 
 def _infer_mu(lengths: np.ndarray, chunk_bases: int) -> int:
     full_record = int(lengths.max())
-    mu = full_record - chunk_bases - FILE_ID_TRITS - 1
-    if len(lengths) == 1 and mu < 1:
-        # single short chunk: its payload is below chunk_bases and mu is 1
-        mu = 1
-    return mu
+    if full_record < chunk_bases + FILE_ID_TRITS + 2:
+        # no full record: the header width that leaves whole windows
+        return (full_record - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
+    return full_record - chunk_bases - FILE_ID_TRITS - 1
 
 
 def _split_fasta(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -528,7 +527,8 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch
     The chunk-index width mu is inferred from record lengths: full
     records have ``chunk_bases`` payload bases, so mu = record length -
     chunk_bases - 3. At most one record (the final, short chunk) may
-    deviate, and only downward.
+    deviate, and only downward. With no full record, the header is the
+    one of 4 to 14 bases that leaves whole 11-base windows.
     """
     _check_chunk_bases(chunk_bases)
     if not text or text.isspace():
@@ -544,11 +544,6 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch
             "only the final chunk may be short"
         )
     mu = _infer_mu(lengths, chunk_bases)
-    if mu < 1:
-        raise FastaError(
-            f"record length {max(distinct)} is too short for "
-            f"chunk size {chunk_bases}"
-        )
     header_len = FILE_ID_TRITS + mu + 1
     payload_lengths = lengths - header_len
     bad = (payload_lengths < CODEWORD_LENGTH) | (payload_lengths % CODEWORD_LENGTH != 0)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import islice, product
+from itertools import product
 
 import numpy as np
 
@@ -349,7 +349,6 @@ def greedy_construct(
     spec: CodeFamilySpec,
     order: str = "lex",
     seed: int = 0,
-    max_candidates: int | None = None,
 ) -> list[str]:
     """Greedy code construction: keep a candidate iff it stays >= d from
     every kept word.
@@ -365,8 +364,6 @@ def greedy_construct(
     if n > 26:
         raise ValueError("lengths above 26 are outside desk-scale candidate scans")
     total = 3**n
-    if max_candidates is None:
-        max_candidates = total
 
     kept = np.empty((spec.size, n), dtype=np.uint8)
     count = 0
@@ -380,14 +377,14 @@ def greedy_construct(
         return True
 
     if order == "lex":
-        for cand in islice(product(range(3), repeat=n), max_candidates):
+        for cand in product(range(3), repeat=n):
             if try_keep(np.array(cand, dtype=np.uint8)) and count == spec.size:
                 break
     else:
         rng = np.random.default_rng(seed)
         drawn = 0
-        while drawn < max_candidates and count < spec.size:
-            batch = rng.integers(0, 3, size=(min(4096, max_candidates - drawn), n))
+        while drawn < total and count < spec.size:
+            batch = rng.integers(0, 3, size=(min(4096, total - drawn), n))
             drawn += len(batch)
             for cand in batch.astype(np.uint8):
                 if try_keep(cand) and count == spec.size:

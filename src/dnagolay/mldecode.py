@@ -30,8 +30,10 @@ flipped image is decoded once for the four.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
-k; a stream decodes as the fixed point of :func:`_decode_stream`. After
-a missing chunk, the decoder keeps the cheapest of all four contexts.
+k; a stream decodes as the fixed point of :func:`_decode_stream`. A file
+decodes in one call of it, each run of consecutive chunks a stream.
+After a missing chunk, the run takes the context under which its first
+chunk decodes cheapest, all four scored for every run in one more call.
 """
 
 from __future__ import annotations
@@ -394,40 +396,48 @@ def _batched_min_stats(
 
 
 def _decode_stream(
-    keys: np.ndarray, prev_code: int, images: CandidateImages
+    keys: np.ndarray, breaks, prev_codes, images: CandidateImages
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Decode a stream of received windows, as packed keys, received
-    after base code ``prev_code``, window by window with context chaining.
+    """Decode streams of received windows, held back to back as packed
+    keys, window by window with context chaining. A stream starts at
+    each window position in ``breaks``, ascending from 0, after the base
+    code at the same place in ``prev_codes``.
 
     Returns (byte values, per-window DNA distances, per-window ambiguous
-    flags, final corrected base code).
+    flags, final corrected base code of the last stream).
 
-    A window's context is the last base of its corrected predecessor.
-    Round one looks every window up in the radius-1 table under its
-    received context, block by block; a window it finds exact keeps its
-    last base, so an undamaged stream ends there. Each round, the kernel
-    decodes the misses, except a miss whose context a hit of the same
-    round has just changed: that one waits for the next round, which
-    looks up again every window whose context this round changed. Window
-    k's context is final after at most k+1 rounds, so the result is the
-    sequential window-by-window decode.
+    A window's context is the last base of its corrected predecessor in
+    its stream. Round one looks every window up in the radius-1 table
+    under its received context, block by block; a window it finds exact
+    keeps its last base, so an undamaged stream ends there. Each round,
+    the kernel decodes the misses, except a miss whose context a hit of
+    the same round has just changed: that one waits for the next round,
+    which looks up again every window whose context this round changed.
+    Window k's context is final after at most k+1 rounds, so the result
+    is the sequential window-by-window decode of each stream.
     """
     n = len(keys)
-    # contexts[k] is the last base of window k-1 as last decoded
+    # contexts[k] is the last base of window k-1 as last decoded, or the given context
     contexts = np.empty(n + 1, dtype=np.uint8)
-    contexts[0] = prev_code
     np.bitwise_and(keys, 3, out=contexts[1:], casting="unsafe")
+    contexts[breaks] = prev_codes
     last = (images.image_keys & 3).astype(np.uint8)
-    values, distances, hit = np.empty((3, n), dtype=np.uint8)
+    values, distances = np.empty((2, n), dtype=np.uint8)
+    hit = np.empty(n, dtype=np.uint8)  # apart, so the results do not hold it
     for lo in range(0, n, _LOOKUP_BLOCK):
         block = slice(lo, min(n, lo + _LOOKUP_BLOCK))
         values[block], distances[block], hit[block] = images.lookup(keys[block], contexts[block])
     ambiguous = np.zeros(n, dtype=bool)
+    tails = np.subtract(breaks[1:], 1)  # the last window of every stream but the last
     todo = np.flatnonzero(distances)
     hit = hit.view(bool)[todo]
     while todo.size:
         ctx = contexts[todo]
+        # the places in todo of stream tails, whose last base is no context
+        ending = np.searchsorted(todo, tails)
+        ending = ending[todo.take(ending, mode="clip") == tails]
         moves = hit & (((last[values[todo]] + ctx) & 3) != contexts[todo + 1])
+        moves[ending] = False
         run = ~hit
         run[1:] &= ~(moves[:-1] & (np.diff(todo) == 1))
         rows = todo[run]
@@ -436,6 +446,7 @@ def _decode_stream(
                 keys[rows], ctx[run], images
             )
         moves[run] = ((last[values[rows]] + ctx[run]) & 3) != contexts[rows + 1]
+        moves[ending] = False
         todo = todo[moves]
         contexts[todo + 1] = (last[values[todo]] + contexts[todo]) & 3
         todo = todo[todo < n - 1] + 1
@@ -444,22 +455,17 @@ def _decode_stream(
     return values, distances, ambiguous, int(contexts[n])
 
 
-def _decode_run(
-    keys: np.ndarray, prev_code: int | None, first: int, images: CandidateImages
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """:func:`_decode_stream` over the window keys of consecutive chunks.
-
-    With ``prev_code`` None the run starts from the context under which
-    its ``first`` windows, those of its first chunk, decode with the
-    lowest total distance.
-    """
-    if prev_code is None:
-        costs = [
-            int(_decode_stream(keys[:first], b, images)[1].sum())
-            for b in range(len(DNA_ALPHABET))
-        ]
-        prev_code = costs.index(min(costs))
-    return _decode_stream(keys, prev_code, images)
+def _best_contexts(keys: np.ndarray, counts: np.ndarray, images: CandidateImages) -> np.ndarray:
+    """For each stream of ``counts`` windows, held back to back in
+    ``keys``, the base code under which it decodes with the lowest total
+    distance, the lowest code on a tie: one :func:`_decode_stream` call
+    decodes every stream in all four contexts."""
+    bases = np.arange(len(DNA_ALPHABET))
+    breaks = (np.cumsum(counts) - counts + len(keys) * bases[:, None]).ravel()
+    prev_codes = np.repeat(bases, len(counts))
+    _, distances, _, _ = _decode_stream(np.tile(keys, len(bases)), breaks, prev_codes, images)
+    costs = np.add.reduceat(distances, breaks, dtype=np.int64).reshape(len(bases), -1)
+    return costs.argmin(axis=0)
 
 
 def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
@@ -505,12 +511,10 @@ def decode_chunk(
     batch = ChunkBatch.of([record])
     keys, _ = _payload_keys(batch, slice(None))
     file_ids, indices, parity_ok = batch.decoded_headers()
-    values, distances, ambiguous, last = _decode_run(
-        keys,
-        None if prev_base is None else _base_code(prev_base),
-        len(keys),
-        candidate_images(codebook),
-    )
+    images = candidate_images(codebook)
+    search = prev_base is None
+    prev = _best_contexts(keys, [len(keys)], images) if search else [_base_code(prev_base)]
+    values, distances, ambiguous, last = _decode_stream(keys, [0], prev, images)
     report = ChunkDecodeReport(
         chunk_index=int(indices[0]) if record.chunk_index is None else record.chunk_index,
         file_id=int(file_ids[0]),
@@ -576,28 +580,24 @@ def decode_file(
     seen[present] = True
     missing = np.flatnonzero(~seen).tolist()
 
-    # each run of consecutive chunk indices decodes as one stream; a run
-    # that does not start at chunk 0 has lost its context and searches
-    # for it, and missing chunks stand in as zero bytes so that later
-    # content keeps its offsets
+    # each run of consecutive chunk indices (indices are at least 0, so
+    # the first record starts one) is a stream of one decode; a run after
+    # a gap takes the context its first chunk decodes best under
+    runs = np.flatnonzero(np.diff(present, prepend=-2) != 1)
+    firsts = (ends - counts)[runs]  # the first window of each run
+    prev_codes = np.full(len(runs), BASE_INDEX[DEFAULT_PREV_BASE], dtype=np.uint8)
+    lost = present[runs] != 0
+    if lost.any():
+        heads = np.concatenate([keys[lo:hi] for lo, hi in zip(firsts[lost], ends[runs[lost]])])
+        prev_codes[lost] = _best_contexts(heads, counts[runs[lost]], images)
+    values, distances, ambiguous, _ = _decode_stream(keys, firsts, prev_codes, images)
+
+    # missing chunks stand in as zero bytes so that later content keeps its offsets
     placeholder = bytes(int(counts.max()))
-    runs = (np.flatnonzero(np.diff(present) != 1) + 1).tolist()
-    values = np.empty(len(keys), dtype=np.uint8)
-    distances = np.empty(len(keys), dtype=np.uint8)
-    ambiguous = np.empty(len(keys), dtype=bool)
+    gaps = np.diff(present[runs] - runs, prepend=0)  # the chunks missing before each run
     pieces = []
-    decoded = 0
-    for start, stop in zip([0, *runs], [*runs, len(present)]):
-        first = int(present[start])
-        lo, hi = int(ends[start] - counts[start]), int(ends[stop - 1])
-        values[lo:hi], distances[lo:hi], ambiguous[lo:hi], _ = _decode_run(
-            keys[lo:hi],
-            BASE_INDEX[DEFAULT_PREV_BASE] if first == 0 else None,
-            int(counts[start]),
-            images,
-        )
-        pieces += [placeholder * (first - decoded), values[lo:hi].tobytes()]
-        decoded = int(present[stop - 1]) + 1
+    for gap, lo, hi in zip(gaps.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(keys)]):
+        pieces += [placeholder * gap, values[lo:hi].tobytes()]
     stream_bytes = b"".join(pieces)
     reports = ChunkReports(
         present,

@@ -20,6 +20,7 @@ from dnagolay.chunks import (
     mu_for_segments,
     parse_fasta,
 )
+from dnagolay.mldecode import decode_file
 from dnagolay.ternary import AlphabetError
 from dnagolay.transcode import BASE_INDEX, decode_rows, dna_codes, trits_to_dna
 
@@ -360,6 +361,39 @@ def test_fasta_mu_inference_full_plus_short(codebook):
     assert len(records) > 1 and records[-1].total_length != records[0].total_length
     parsed = parse_fasta(emit_fasta(records))
     assert [r.mu for r in parsed] == [r.mu for r in records]
+
+
+def test_fasta_mu_inference_lone_last_record(codebook):
+    """The short last chunk alone has the header width that leaves whole
+    windows: mu = 3 for a 12-chunk file, so it reads as chunk 11 and
+    carries the declared size."""
+    fd = FileDescriptor(content=bytes(range(100)), extension="")
+    records = encode_file(fd, codebook)
+    assert (len(records), records[-1].mu, records[-1].total_length) == (12, 3, 83)
+    parsed = parse_fasta(emit_fasta(records[-1:]))
+    assert parsed[0].sequence == records[-1].sequence and parsed[0].mu == 3
+    result = decode_file(parsed, codebook)
+    assert result.per_chunk[0].chunk_index == 11 and result.per_chunk[0].parity_ok
+    assert result.unrecoverable_chunks == list(range(11))
+    assert (result.size_bytes, result.trailer_ok) == (100, True)
+    assert result.content[-1:] == fd.content[-1:]
+
+
+@pytest.mark.parametrize("chunk_bases", [11, 44])
+def test_fasta_written_at_a_smaller_chunk_size_parses_at_the_default(codebook, chunk_bases):
+    fd = FileDescriptor(content=bytes(range(200)) * 2, extension="bin", file_id=3)
+    records = encode_file(fd, codebook, chunk_bases=chunk_bases)
+    assert records[0].mu > 1
+    parsed = parse_fasta(emit_fasta(records))
+    assert [r.sequence for r in parsed] == [r.sequence for r in records]
+    assert [r.mu for r in parsed] == [r.mu for r in records]
+    result = decode_file(parsed, codebook)
+    assert result.fully_recovered and result.content == fd.content
+
+
+def test_fasta_error_names_the_line_of_a_record_too_short_for_any_payload():
+    with pytest.raises(FastaError, match="line 3: record length 12 leaves a payload of 8"):
+        parse_fasta(">a\nACGTACGTACGTACG\n>b\nACGTACGTACGT\n")
 
 
 def test_fasta_wire_format_is_pinned(codebook):

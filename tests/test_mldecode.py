@@ -31,7 +31,14 @@ from dnagolay.mldecode import (
     split_payload_stream,
 )
 from dnagolay.ternary import AlphabetError, weight
-from dnagolay.transcode import codes_to_dna, decode_rows, dna_codes, encode_rows, trits_to_dna
+from dnagolay.transcode import (
+    BASE_INDEX,
+    codes_to_dna,
+    decode_rows,
+    dna_codes,
+    encode_rows,
+    trits_to_dna,
+)
 from hamming import hamming
 
 
@@ -568,6 +575,24 @@ def test_decode_file_reports_gap_and_keeps_offsets(codebook):
     assert result.content[18:] == fd.content[18:]
 
 
+def _chunk_by_chunk(records, lost, codebook):
+    """The reference for a gapped decode: the chunks one by one, each
+    after its predecessor's last corrected base, all four contexts
+    searched after a gap, a full chunk of zeros for each lost one;
+    (content, reports)."""
+    expected, reports, ctx = bytearray(), [], "A"
+    for rec in records:
+        if rec.chunk_index in lost:
+            expected += bytes(len(records[0].payload_dna) // 11)
+            ctx = None
+            continue
+        data, report, ctx = decode_chunk(rec, codebook, ctx)
+        expected += data
+        reports.append(report.to_dict())
+    content, size, _, _ = split_payload_stream(bytes(expected))
+    return content[:size], reports
+
+
 def test_decode_file_with_gaps_matches_chunk_by_chunk_reference(codebook):
     """Runs between missing chunks decode as streams; the reference walks
     the chunks one by one, searching all contexts after each gap."""
@@ -580,20 +605,99 @@ def test_decode_file_with_gaps_matches_chunk_by_chunk_reference(codebook):
     survivors = [rec for rec in records if rec.chunk_index not in lost]
     result = decode_file(survivors, codebook)
 
-    expected, reports, ctx = bytearray(), [], "A"
-    for rec in records:
-        if rec.chunk_index in lost:
-            expected += bytes(9)
-            ctx = None
-            continue
-        data, report, ctx = decode_chunk(rec, codebook, ctx)
-        expected += data
-        reports.append(report.to_dict())
-    content, size, _, _ = split_payload_stream(bytes(expected))
+    content, reports = _chunk_by_chunk(records, lost, codebook)
     assert result.unrecoverable_chunks == sorted(lost)
-    assert result.content == content[:size]
+    assert result.content == content
     assert [rep.to_dict() for rep in result.per_chunk] == reports
     assert any(rep["ambiguities"] or any(rep["codeword_distances"]) for rep in reports)
+
+
+@pytest.mark.parametrize("channel", ["count:1", "count:2", "count:3"])
+@pytest.mark.parametrize("lost", [{0}, {0, 2, 4}, {1, 3, 44}])
+def test_decode_file_with_gaps_matches_reference_at_every_kind_of_break(codebook, channel, lost):
+    """Chunk 0 lost; one-chunk runs between two gaps (chunks 1, 2 and 3);
+    and the short last chunk, 45, alone after a gap."""
+    rng = random.Random(17)
+    fd = FileDescriptor(content=bytes(rng.randrange(256) for _ in range(400)), extension="bin")
+    records = corrupt_records(
+        encode_file(fd, codebook), ChannelSpec.parse(channel), np.random.default_rng(17)
+    )
+    assert len(records) == 46 and len(records[-1].payload_dna) < len(records[0].payload_dna)
+    result = decode_file([rec for rec in records if rec.chunk_index not in lost], codebook)
+    content, reports = _chunk_by_chunk(records, lost, codebook)
+    assert result.unrecoverable_chunks == sorted(lost)
+    assert result.content == content
+    assert [rep.to_dict() for rep in result.per_chunk] == reports
+
+
+def test_decode_file_break_after_a_window_the_table_corrects_in_its_last_base(codebook):
+    """The table corrects the last base of the last window before a gap,
+    which would change its successor's context; the window after the gap
+    starts a stream, so it keeps its own context and is not held back:
+    the kernel decodes it."""
+    content = bytes(random.Random(11).randrange(256) for _ in range(100))
+    records = list(encode_file(FileDescriptor(content=content, extension="bin"), codebook))
+    swap = {"A": "C", "C": "G", "G": "T", "T": "A"}
+    tail, head = records[2].payload_dna, records[4].payload_dna
+    records[2] = ChunkRecord(tail[:-1] + swap[tail[-1]], records[2].header_dna, 0, 2)
+    window = corrupt(head[:11], (0, swap[head[0]]), (5, swap[head[5]]))
+    records[4] = ChunkRecord(window + head[11:], records[4].header_dna, 0, 4)
+    # the window after the gap is a table miss under its true context
+    images = candidate_images(codebook)
+    context = np.array([BASE_INDEX[records[3].payload_dna[-1]]], dtype=np.uint8)
+    assert not images.lookup(_window_keys(dna_codes(window)[None]), context)[2][0]
+
+    result = decode_file(records[:3] + records[4:], codebook)
+    expected, reports = _chunk_by_chunk(records, {3}, codebook)
+    assert result.content == expected == content[:27] + bytes(9) + content[36:]
+    assert [rep.to_dict() for rep in result.per_chunk] == reports
+    assert reports[2]["codeword_distances"][-1] == 1 and reports[3]["codeword_distances"][0] == 2
+
+
+def test_decode_file_makes_at_most_two_stream_calls(codebook, monkeypatch):
+    """All runs decode in one stream call, and the lost contexts of all
+    runs after a gap are searched in one more, however many gaps."""
+    calls = []
+    stream = mldecode._decode_stream
+
+    def counted(keys, *args):
+        calls.append(len(keys))
+        return stream(keys, *args)
+
+    monkeypatch.setattr(mldecode, "_decode_stream", counted)
+    content = np.random.default_rng(9).integers(0, 256, 1 << 16, dtype=np.uint8).tobytes()
+    records = corrupt_records(
+        encode_file(FileDescriptor(content=content, extension="bin"), codebook),
+        ChannelSpec.parse("count:1"),
+        np.random.default_rng(9),
+    )
+    assert decode_file(records, codebook).content == content
+    assert len(calls) == 1
+    calls.clear()
+    result = decode_file([rec for k, rec in enumerate(records) if k % 3], codebook)
+    assert len(result.unrecoverable_chunks) == len(range(0, len(records) - 1, 3)) > 2000
+    assert len(calls) == 2
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 0.01, 0.1, 0.3, 0.75]))
+def test_batched_context_search_matches_one_call_per_context(codebook, seed, rate):
+    """Every chunk's context, searched in one call, is the one that four
+    calls, one per context, pick: the lowest total distance, the lowest
+    base on a tie."""
+    rng = np.random.default_rng(seed)
+    content = rng.integers(0, 256, int(rng.integers(1, 120)), dtype=np.uint8).tobytes()
+    batch = encode_file(FileDescriptor(content=content, extension=""), codebook, chunk_bases=44)
+    if rate:
+        batch = corrupt_records(batch, ChannelSpec.parse(f"rate:{rate}"), rng)
+    keys, counts = mldecode._payload_keys(batch, slice(None))
+    images = candidate_images(codebook)
+    expected = []
+    for hi, count in zip(np.cumsum(counts), counts):
+        chunk = keys[hi - count : hi]
+        costs = [int(mldecode._decode_stream(chunk, [0], [b], images)[1].sum()) for b in range(4)]
+        expected.append(costs.index(min(costs)))
+    assert mldecode._best_contexts(keys, counts, images).tolist() == expected
 
 
 def _outcome(records, codebook):
