@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .chunks import (
-    _window_starts,
     ChunkBatch,
     ChunkRecord,
     DEFAULT_CHUNK_BASES,
@@ -161,7 +160,12 @@ def corrupt_records(
     if spec.mode == MODE_COUNT:
         if (batch.payload_lengths % CODEWORD_LENGTH).any():
             raise ValueError("count mode needs payloads of whole 11-base windows")
-        starts = _window_starts(batch.starts, batch.payload_lengths // CODEWORD_LENGTH)
+        counts = batch.payload_lengths // CODEWORD_LENGTH
+        ends = np.cumsum(counts)
+        # window k starts 11 k bases after the first window of the stream,
+        # shifted by where its record starts in codes
+        starts = np.repeat(batch.starts - CODEWORD_LENGTH * (ends - counts), counts)
+        starts += np.arange(0, CODEWORD_LENGTH * len(starts), CODEWORD_LENGTH)
     codes = batch.codes.copy()
     _substitute(codes, spec, rng, starts)
     return ChunkBatch(codes, batch.ends, batch.header_widths, batch.file_ids, batch.chunk_indices)

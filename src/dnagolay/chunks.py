@@ -15,9 +15,10 @@ Layout of one encoded file:
   carry no error correction.
 
 Records travel as one :class:`ChunkBatch`: the base codes of all records
-back to back plus a few per-record columns. Encoding, FASTA and decoding
-read the columns; a :class:`ChunkRecord` is only built when a caller
-indexes or iterates the batch.
+back to back plus a few per-record columns. Encoding writes each
+codeword's image whole into the record rows; the decoder reads each
+record once as a row (:meth:`ChunkBatch.record_rows`). A
+:class:`ChunkRecord` is only built when a caller indexes or iterates it.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ from .transcode import (
     encode_rows,
     encode_words,
     trits_to_dna,
+    word_images,
 )
 
 DEFAULT_CHUNK_BASES = 99
@@ -238,36 +240,61 @@ class ChunkBatch(_Columns):
             map(_optional, self.chunk_indices[lo:hi].tolist()),
         )
 
+    def record_rows(self, order=slice(None)):
+        """Per block of up to ``_RECORD_BLOCK`` records of ``order`` (an
+        index into the batch) and per (length, header width) among them:
+        their places in ``order``, the (records, length) matrix of their
+        base codes, read once (a view where they lie back to back), and
+        their header width."""
+        records = np.arange(len(self))[order]
+        bounds = np.append(0, self.ends)
+        for lo in range(0, len(records), _RECORD_BLOCK):
+            block = records[lo : lo + _RECORD_BLOCK]
+            starts = bounds[block]
+            # (length, width) as one key; a record is far shorter than 2**32 bases
+            shapes = (bounds[block + 1] - starts) << 32 | self.header_widths[block]
+            places = shapes.argsort(kind="stable")
+            cuts = [0, *(shapes[places[1:]] != shapes[places[:-1]]).nonzero()[0] + 1, len(places)]
+            for first, end in zip(cuts, cuts[1:]):
+                group = places[first:end]
+                length, width = divmod(int(shapes[group[0]]), 1 << 32)
+                at = starts[group]
+                if (at[1:] - at[:-1] == length).all():
+                    rows = self.codes[at[0] : at[0] + len(at) * length].reshape(-1, length)
+                else:
+                    rows = sliding_window_view(self.codes, length)[at]
+                yield lo + group, rows, width
+
     def decoded_headers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Literal (no ECC) decode of every header: file ids, chunk
-        indices and parity_ok flags as arrays, one matrix pass per
-        header width.
+        indices and parity_ok flags as arrays. Headers of one width are
+        gathered a block at a time and decoded transposed, so that each
+        pass over a header column runs over contiguous memory.
 
         Unreadable positions (repeated bases) read as trit 0 and force
         parity_ok False, matching best-effort recovery of damaged headers.
         """
-        count = len(self)
-        file_ids = np.empty(count, dtype=np.int64)
-        indices = np.empty(count, dtype=np.int64)
-        parity_ok = np.empty(count, dtype=bool)
+        file_ids, indices = np.empty((2, len(self)), dtype=np.int64)
+        parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
-        header_starts = self.ends - widths
-        for width in np.unique(widths).tolist():
-            rows = np.flatnonzero(widths == width)
-            codes = sliding_window_view(self.codes, width)[header_starts[rows]]
-            file_ids[rows], indices[rows], parity_ok[rows] = _decode_header_rows(codes)
+        one_width = len(self) and widths.min() == widths.max()
+        for width in (widths[:1] if one_width else np.unique(widths)).tolist():
+            # the place values of the file id and index trits, mod 2**64 as in int64
+            values = np.zeros((2, width - 1), dtype=np.uint64)
+            ids = min(FILE_ID_TRITS, width - 1)
+            values[0, :ids] = 3 ** np.arange(ids)[::-1]
+            values[1, ids:] = [3**p % 2**64 for p in range(width - ids - 2, -1, -1)]
+            records = np.flatnonzero(widths == width)
+            for lo in range(0, len(records), _RECORD_BLOCK):
+                block = records[lo : lo + _RECORD_BLOCK]
+                headers = sliding_window_view(self.codes, width)[self.ends[block] - width]
+                trits = decode_rows(headers.T.copy().T, BASE_INDEX[DEFAULT_PREV_BASE]).T
+                unreadable = trits == 3
+                trits[unreadable] = 0
+                file_ids[block], indices[block] = (values @ trits[:-1]).view(np.int64)
+                parity = trits[:-1:2].sum(axis=0, dtype=np.uint8) % 3
+                parity_ok[block] = ~unreadable.any(axis=0) & (parity == trits[-1])
         return file_ids, indices, parity_ok
-
-
-def _window_starts(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Where each of the first ``counts`` 11-base windows of the records
-    that start at ``starts`` in a batch's codes starts, record by record."""
-    ends = np.cumsum(counts)
-    # window k starts 11 k bases after the first window of the stream,
-    # shifted by where its record starts in codes
-    windows = np.repeat(starts - CODEWORD_LENGTH * (ends - counts), counts)
-    windows += np.arange(0, CODEWORD_LENGTH * len(windows), CODEWORD_LENGTH)
-    return windows
 
 
 def mu_for_segments(segment_count: int) -> int:
@@ -304,8 +331,18 @@ def _check_chunk_bases(chunk_bases: int):
         )
 
 
-def _header_trit_rows(file_id: int, indices, mu: int) -> np.ndarray:
-    """(chunks, 3 + mu) header trits: file id, chunk index, parity."""
+_TABLE_DIGITS = 7
+_TRITS = np.arange(3**_TABLE_DIGITS)[:, None] // 3 ** np.arange(_TABLE_DIGITS)[::-1] % 3
+_SUMS = np.c_[_TRITS[:, ::2].sum(1), _TRITS[:, 1::2].sum(1)]
+# each number below 3**7 after each base c, as the item c * 3**7 + number:
+# the rotation image of its trits, most significant first, then the sums
+# of its trits in even and in odd places
+_DIGIT_IMAGES = np.concatenate([np.c_[encode_rows(_TRITS, c), _SUMS] for c in range(4)])
+_DIGIT_IMAGES = _DIGIT_IMAGES.astype(np.uint8).view(f"V{_TABLE_DIGITS + 2}")[:, 0]
+
+
+def _header_values(file_id: int, indices, mu: int) -> np.ndarray:
+    """The number file_id * 3**mu + index of each header, checked."""
     if not 0 <= file_id <= MAX_FILE_ID:
         raise ChunkError(f"file_id must be 0..{MAX_FILE_ID}, got {file_id}")
     if mu < 1:
@@ -314,18 +351,41 @@ def _header_trit_rows(file_id: int, indices, mu: int) -> np.ndarray:
     out_of_range = (rem < 0) | (rem >= 3**mu)
     if out_of_range.any():
         raise ChunkError(f"{int(rem[out_of_range][0])} does not fit in {mu} trits")
-    rem = rem + file_id * 3**mu
-    trits = np.empty((len(rem), FILE_ID_TRITS + mu + 1), dtype=np.uint8)
-    for col in range(FILE_ID_TRITS + mu - 1, -1, -1):
-        rem, trits[:, col] = np.divmod(rem, 3)
-    trits[:, -1] = trits[:, :-1:2].sum(axis=1) % 3
-    return trits
+    return rem + file_id * 3**mu
+
+
+def _header_rows(file_id: int, indices, mu: int) -> np.ndarray:
+    """(chunks, 3 + mu) header base codes, each from a fresh 'A' context:
+    the file id and the chunk index, whose images are read from
+    :data:`_DIGIT_IMAGES` seven trits at a time, then the parity trit."""
+    rem = _header_values(file_id, indices, mu)
+    digits = FILE_ID_TRITS + mu
+    codes = np.empty((len(rem), digits + 1), dtype=np.uint8)
+    prev = np.full(len(rem), BASE_INDEX[DEFAULT_PREV_BASE], dtype=np.uint8)
+    parity = np.zeros(len(rem), dtype=np.uint8)
+    for end in range((digits - 1) % _TABLE_DIGITS + 1, digits + 1, _TABLE_DIGITS):
+        # a short first group is read after as many zeros as it lacks
+        # trits, from the base that those zeros lead back to 'A' from
+        skip = max(_TABLE_DIGITS - end, 0)
+        low = rem // 3 ** (digits - end) % 3**_TABLE_DIGITS
+        index = ((prev - skip) & 3) * np.intp(3**_TABLE_DIGITS) + low
+        image = np.take(_DIGIT_IMAGES, index).view(np.uint8).reshape(-1, _TABLE_DIGITS + 2)
+        codes[:, end - _TABLE_DIGITS + skip : end] = image[:, skip:_TABLE_DIGITS]
+        prev = image[:, _TABLE_DIGITS - 1]
+        # table place p is column end - 7 + p: the even columns are the
+        # table's even places when end - 7 is even, else its odd ones
+        parity += image[:, _TABLE_DIGITS + (end - _TABLE_DIGITS) % 2]
+    codes[:, -1] = (prev + parity % 3 + 1) & 3
+    return codes
 
 
 def make_header_dna(file_id: int, chunk_index: int, mu: int) -> str:
-    """Header DNA for one chunk, rotation-encoded from a fresh 'A' context."""
-    trits = _header_trit_rows(file_id, [chunk_index], mu)
-    return trits_to_dna((trits + _ORD_ZERO).tobytes().decode("ascii"), DEFAULT_PREV_BASE)
+    """Header DNA for one chunk, rotation-encoded from a fresh 'A' context;
+    the one-header reference of the bulk encoder in :func:`encode_file`."""
+    value = int(_header_values(file_id, [chunk_index], mu)[0])
+    digits = [value // 3**place % 3 for place in range(FILE_ID_TRITS + mu - 1, -1, -1)]
+    trits = "".join(map(str, [*digits, sum(digits[::2]) % 3]))
+    return trits_to_dna(trits, DEFAULT_PREV_BASE)
 
 
 def encode_file(
@@ -339,29 +399,32 @@ def encode_file(
     inherits the last payload base of chunk k-1 as context), so the
     payload stays homopolymer-free across chunk boundaries. Headers use
     a fresh 'A' context each.
+
+    Full records are rows of one matrix; per block of them, each
+    codeword's image is gathered whole into its place in the rows.
     """
     _check_chunk_bases(chunk_bases)
-    payload = encode_words(
-        codebook.as_array(), _payload_values(fd), BASE_INDEX[DEFAULT_PREV_BASE]
-    ).ravel()
-    count = -(-len(payload) // chunk_bases)
+    values = _payload_values(fd)
+    words = chunk_bases // CODEWORD_LENGTH
+    count = -(-len(values) // words)
     mu = mu_for_segments(count)
-    # every header starts from a fresh 'A' context: one matrix row each
-    headers = encode_rows(
-        _header_trit_rows(fd.file_id, np.arange(count), mu), BASE_INDEX[DEFAULT_PREV_BASE]
-    )
-    width = headers.shape[1]
-    lengths = np.full(count, chunk_bases + width, dtype=np.int64)
-    lengths[-1] = len(payload) - chunk_bases * (count - 1) + width
-    ends = np.cumsum(lengths)
-    # full chunks are rows of one matrix; only the last record may be short
+    width = FILE_ID_TRITS + mu + 1
+    full, rest = divmod(len(values), words)
+    ends = np.arange(1, count + 1) * (chunk_bases + width)
+    ends[-1] -= (words - (rest or words)) * CODEWORD_LENGTH
     codes = np.empty(int(ends[-1]), dtype=np.uint8)
-    full = len(payload) // chunk_bases
     rows = codes[: full * (chunk_bases + width)].reshape(full, chunk_bases + width)
-    rows[:, :chunk_bases] = payload[: full * chunk_bases].reshape(full, chunk_bases)
-    rows[:, chunk_bases:] = headers[:full]
-    if full < count:
-        codes[rows.size :] = np.concatenate((payload[full * chunk_bases :], headers[-1]))
+    images = word_images(codebook.codewords)
+    payload = rows[:, :chunk_bases].view(images.dtype)
+    prev = BASE_INDEX[DEFAULT_PREV_BASE]
+    for lo in range(0, full, _RECORD_BLOCK):
+        hi = min(full, lo + _RECORD_BLOCK)
+        prev = encode_words(images, values[lo * words : hi * words], prev, payload[lo:hi])
+        rows[lo:hi, chunk_bases:] = _header_rows(fd.file_id, np.arange(lo, hi), mu)
+    if rest:
+        last = codes[rows.size :]
+        encode_words(images, values[full * words :], prev, last[:-width].view(images.dtype))
+        last[-width:] = _header_rows(fd.file_id, [full], mu)
     return ChunkBatch(
         codes, ends, np.full(count, width), np.full(count, fd.file_id), np.arange(count)
     )
@@ -556,26 +619,6 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch
             int(title_lines[first]),
         )
     return ChunkBatch(codes, np.cumsum(lengths), np.full(len(lengths), header_len))
-
-
-def _decode_header_rows(codes: np.ndarray):
-    """Literal decode of a (headers, width) base-code matrix."""
-    trits = decode_rows(codes, BASE_INDEX[DEFAULT_PREV_BASE])
-    count, width = trits.shape
-    unreadable = np.zeros(count, dtype=bool)
-    for col in range(width):
-        unreadable |= trits[:, col] == 3
-    trits[trits == 3] = 0
-    file_ids = np.zeros(count, dtype=np.int64)
-    indices = np.zeros(count, dtype=np.int64)
-    parity = np.zeros(count, dtype=np.int64)
-    for col in range(width - 1):
-        number = file_ids if col < FILE_ID_TRITS else indices
-        number *= 3
-        number += trits[:, col]
-        if col % 2 == 0:
-            parity += trits[:, col]
-    return file_ids, indices, ~unreadable & (parity % 3 == trits[:, -1])
 
 
 def decode_header(record: ChunkRecord) -> tuple[int, int, bool]:

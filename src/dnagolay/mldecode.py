@@ -44,12 +44,9 @@ from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .chunks import (
     _Columns,
-    _RECORD_BLOCK,
-    _window_starts,
     ChunkBatch,
     ChunkRecord,
     EXTENSION_SEPARATOR,
@@ -192,6 +189,7 @@ _NEGATIONS = (-np.arange(4, dtype=np.uint32) & 3) * np.uint32(_FIELDS)
 _BYTE_VALUES = (256, 256, 64)
 # the number of nonzero 2-bit fields in each byte: its mismatches when it is an XOR
 _BYTE_MISMATCHES = sum((np.arange(256) >> 2 * f & 3) != 0 for f in range(4)).astype(np.uint16)
+_PACK = np.uint32(1 | 1 << 10 | 1 << 20 | 1 << 30)  # see _row_keys
 
 
 def _add_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -238,13 +236,16 @@ def _nearest(packed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return best, packed.min(axis=1) < CODE_SIZE - 1
 
 
-def _window_keys(windows: np.ndarray) -> np.ndarray:
-    """Each row of 11 base codes packed into 22 bits, first base highest."""
-    keys = windows[:, 0].astype(np.uint32)
-    for col in range(1, CODEWORD_LENGTH):
-        keys <<= 2
-        keys |= windows[:, col]
-    return keys
+def _row_keys(rows: np.ndarray, words: int) -> np.ndarray:
+    """The first ``words`` 11-base windows of each row of a C-contiguous
+    base-code matrix, each packed into 22 bits, first base highest, as a
+    (rows, words) matrix. Bases 0-3, 4-7 and 7-10 of a window are read as
+    one little-endian uint32 each; times 1 | 1 << 10 | 1 << 20 | 1 << 30
+    it holds b0 << 6 | b1 << 4 | b2 << 2 | b3 in its top byte, no carry
+    reaching it. Base 7 is packed twice, onto itself."""
+    shape, strides = (len(rows), words), (rows.shape[1], CODEWORD_LENGTH)
+    a, b, c = (np.ndarray(shape, "<u4", rows, at, strides) * _PACK >> 24 for at in (0, 4, 7))
+    return a << 14 | b << 6 | c
 
 
 def _flip_offsets(flips: int) -> np.ndarray:
@@ -273,9 +274,9 @@ class CandidateImages:
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
-        self.image_keys = _window_keys(encode_rows(self.words, 0))
+        self.image_keys = _row_keys(encode_rows(self.words, 0), 1)[:, 0]
         self.image_tables = _packed_tables(self.image_keys)
-        self.word_tables = _packed_tables(_window_keys(self.words))
+        self.word_tables = _packed_tables(_row_keys(self.words, 1)[:, 0])
         # the least DNA distance of two images, which no context shift changes
         pairs = _gather(self.image_keys, self.image_tables)
         np.fill_diagonal(pairs, 0xFFFF)
@@ -470,8 +471,8 @@ def _best_contexts(keys: np.ndarray, counts: np.ndarray, images: CandidateImages
 
 def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
     """The packed keys of the payload windows of the records ``order``,
-    in that order, with each record's window count; built per block of
-    records, so no array per window but the keys spans the stream.
+    in that order, with each record's window count, packed from the
+    record rows; no array per window but the keys spans the stream.
 
     Raises :class:`DecodeError` for a payload that is not a positive
     multiple of 11 bases.
@@ -484,14 +485,14 @@ def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
             f"multiple of {CODEWORD_LENGTH}"
         )
     counts = payload_lengths // CODEWORD_LENGTH
-    starts = batch.starts[order]
+    firsts = np.cumsum(counts) - counts
     keys = np.empty(int(counts.sum()), dtype=np.uint32)
-    windows = sliding_window_view(batch.codes, CODEWORD_LENGTH)
-    pos = 0
-    for lo in range(0, len(counts), _RECORD_BLOCK):
-        block = _window_starts(starts[lo : lo + _RECORD_BLOCK], counts[lo : lo + _RECORD_BLOCK])
-        keys[pos : pos + len(block)] = _window_keys(windows[block])
-        pos += len(block)
+    for places, rows, width in batch.record_rows(order):
+        words = (rows.shape[1] - width) // CODEWORD_LENGTH
+        # a record's keys as one item, placed by one copy
+        item = np.dtype(f"V{keys.itemsize * words}")
+        spans = np.ndarray((len(keys) - words + 1,), item, keys, 0, (keys.itemsize,))
+        spans[firsts[places]] = _row_keys(rows, words).view(item)[:, 0]
     return keys, counts
 
 
@@ -599,13 +600,15 @@ def decode_file(
     for gap, lo, hi in zip(gaps.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(keys)]):
         pieces += [placeholder * gap, values[lo:hi].tobytes()]
     stream_bytes = b"".join(pieces)
+    # the chunk of each ambiguous window, of which there are few
+    chunk_of = np.searchsorted(ends, np.flatnonzero(ambiguous), side="right")
     reports = ChunkReports(
         present,
         fid_arr[order],
         parity_arr[order],
         distances,
         ends,
-        np.add.reduceat(ambiguous, ends - counts, dtype=np.int64),
+        np.bincount(chunk_of, minlength=len(ends)),
     )
 
     content, declared_size, extension, trailer_ok = split_payload_stream(stream_bytes)
@@ -655,7 +658,7 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     offsets = _flip_offsets(flips)
     images = candidate_images(codebook)
     contexts = np.arange(len(DNA_ALPHABET), dtype=np.uint8)
-    received = np.stack([_window_keys(encode_rows(images.words, c)) for c in contexts])
+    received = np.stack([_row_keys(encode_rows(images.words, c), 1)[:, 0] for c in contexts])
     words = max(1, _SLICE // (len(contexts) * max(1, len(offsets))))
     cases = unique_correct = ambiguous = miscorrected = 0
     for lo in range(0, CODE_SIZE, words):

@@ -19,6 +19,8 @@ Python loops. Wrapping uint8 cumulative sums are exact here because
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .ternary import DNA_ALPHABET, AlphabetError, parse_dna, parse_trits
@@ -116,21 +118,32 @@ def encode_rows(trit_rows: np.ndarray, prev_code: int) -> np.ndarray:
     return codes
 
 
-def encode_words(word_trits: np.ndarray, words: np.ndarray, prev_code: int) -> np.ndarray:
-    """Rotation-encode the codewords ``word_trits[words]`` as one
-    continuous stream, one row of base codes per codeword.
+@lru_cache(maxsize=4)
+def word_images(codewords: tuple[str, ...]) -> np.ndarray:
+    """The image of each codeword after each base, one item of the
+    codeword's width each: word w after base code c is item c * words + w."""
+    images = encode_rows(trit_codes("".join(codewords)).reshape(len(codewords), -1), 0)
+    rows = (images + np.arange(len(DNA_ALPHABET), dtype=np.uint8)[:, None, None]) & 3
+    return rows.reshape(-1, images.shape[1]).view(f"V{images.shape[1]}")[:, 0]
 
-    A codeword written after base p is its image from context 0 shifted
-    by p (mod 4), so the stream takes one prefix sum over codewords
-    instead of one over bases.
-    """
-    images = encode_rows(word_trits, 0)
-    shifts = np.zeros(len(words), dtype=np.uint8)
-    np.cumsum(images[words[:-1], -1], out=shifts[1:])
-    codes = images[words]
-    codes += (shifts + prev_code)[:, None]
-    codes &= 3
-    return codes
+
+def encode_words(images: np.ndarray, words: np.ndarray, prev_code: int, out: np.ndarray) -> int:
+    """Rotation-encode the codewords ``words`` as one stream after base
+    ``prev_code`` into the items of ``out``, of the type of ``images``
+    (:func:`word_images`), and return its last base. A codeword's context
+    is the prefix sum of the last bases of the images after 'A' before
+    it; one gather then writes each whole image."""
+    count = len(images) // len(DNA_ALPHABET)
+    width = images.dtype.itemsize
+    contexts = np.zeros(len(words) + 1, dtype=np.uint8)
+    last = images[:count].view(np.uint8)[width - 1 :: width]
+    np.cumsum(np.take(last, words), dtype=np.uint8, out=contexts[1:])
+    contexts += prev_code
+    contexts &= 3
+    index = np.multiply(contexts[:-1], count, dtype=np.intp)
+    index += words
+    np.take(images, index.reshape(out.shape), out=out, mode="clip")
+    return int(contexts[-1])
 
 
 def decode_rows(base_rows: np.ndarray, prev_code: int) -> np.ndarray:

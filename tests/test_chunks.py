@@ -22,7 +22,8 @@ from dnagolay.chunks import (
 )
 from dnagolay.mldecode import decode_file
 from dnagolay.ternary import AlphabetError
-from dnagolay.transcode import BASE_INDEX, decode_rows, dna_codes, trits_to_dna
+from dnagolay.transcode import BASE_INDEX, codes_to_dna, decode_rows, dna_codes, trits_to_dna
+from batches import mixed_batches
 
 
 def cw(codebook, char):
@@ -540,6 +541,90 @@ def test_emit_blocks_write_the_same_text(codebook, monkeypatch):
     monkeypatch.setattr(chunks, "_RECORD_BLOCK", 3)
     assert [emit_fasta(batch) for batch in (large, mixed)] == expected
     assert expected[1] == "".join(emit_fasta([rec]) for rec in mixed)
+
+
+def test_encode_blocks_write_the_same_codes(codebook, monkeypatch):
+    fds = [FileDescriptor(content=bytes(range(256)) * 3, extension="x", file_id=5)]
+    fds.append(FileDescriptor(content=bytes(102), file_id=1))  # a whole last chunk
+    expected = [encode_file(fd, codebook) for fd in fds]
+    assert len(expected[0]) > 3 * 4 and expected[1].lengths[-1] == expected[1].lengths[0]
+    for block in (1, 4):
+        monkeypatch.setattr(chunks, "_RECORD_BLOCK", block)
+        for fd, batch in zip(fds, expected):
+            got = encode_file(fd, codebook)
+            assert np.array_equal(got.codes, batch.codes)
+            assert np.array_equal(got.ends, batch.ends)
+
+
+# --- bulk forms against per-record references ---------------------------------
+
+def literal_header_trits(file_id, index, mu):
+    """Header trits by their definition: the file id and the index in
+    base 3, then the mod-3 sum of the trits in even places."""
+    digits = [file_id // 3, file_id % 3] + [index // 3**p % 3 for p in range(mu - 1, -1, -1)]
+    return "".join(map(str, digits + [sum(digits[::2]) % 3]))
+
+
+def base3(digits):
+    """``digits`` in base 3, wrapped to a signed 64-bit integer."""
+    value = sum(d * 3**p for p, d in enumerate(reversed(digits))) % 2**64
+    return value - 2**64 * (value >= 2**63)
+
+
+def literal_header_reading(header_dna):
+    """(file id, index, parity ok) of a header read by definition: of
+    the trits before the parity trit, the first two give the file id and
+    the rest the index, each in base 3; a repeated base reads 0 and fails
+    parity."""
+    trits = read_trits(header_dna)
+    digits = [int(t) % 3 for t in trits]
+    ok = "3" not in trits and sum(digits[:-1:2]) % 3 == digits[-1]
+    return base3(digits[:-1][:2]), base3(digits[2:-1]), ok
+
+
+def test_decoded_headers_of_tiny_and_wide_headers():
+    rng = np.random.default_rng(5)
+    headers = [
+        trits_to_dna("".join(map(str, rng.integers(0, 3, width))), "A")
+        for width in (1, 2, 3, 40, 41, 42, 90)
+        for _ in range(3)
+    ]
+    headers += ["AA", "CCTA"]
+    file_ids, indices, parity_ok = ChunkBatch.of(
+        [ChunkRecord("AC", header) for header in headers]
+    ).decoded_headers()
+    got = list(zip(file_ids.tolist(), indices.tolist(), parity_ok.tolist()))
+    assert got == [literal_header_reading(header) for header in headers]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_decoded_headers_match_per_record_decoding(codebook, seed):
+    for batch in mixed_batches(codebook, seed):
+        file_ids, indices, parity_ok = batch.decoded_headers()
+        got = list(zip(file_ids.tolist(), indices.tolist(), parity_ok.tolist()))
+        assert got == [decode_header(record) for record in batch]
+        assert got == [literal_header_reading(record.header_dna) for record in batch]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from([11, 44, 99, 198]), st.integers(0, 8))
+def test_encode_file_matches_stream_and_header_references(codebook, seed, chunk_bases, file_id):
+    rng = np.random.default_rng(seed)
+    content = rng.bytes(int(rng.integers(0, 1500)))
+    fd = FileDescriptor(content, "bin"[: int(rng.integers(0, 4))], file_id)
+    batch = encode_file(fd, codebook, chunk_bases)
+    stream = trits_to_dna(build_payload_trits(fd, codebook), "A")
+    starts = range(0, len(stream), chunk_bases)
+    mu = mu_for_segments(len(starts))
+    expected = [
+        stream[lo : lo + chunk_bases] + make_header_dna(file_id, k, mu)
+        for k, lo in enumerate(starts)
+    ]
+    assert codes_to_dna(batch.codes) == "".join(expected)
+    assert batch.ends.tolist() == np.cumsum([len(r) for r in expected]).tolist()
+    headers = [read_trits(record.header_dna) for record in batch]
+    assert headers == [literal_header_trits(file_id, k, mu) for k in range(len(starts))]
 
 
 # --- invariants ---------------------------------------------------------------

@@ -42,3 +42,13 @@ def test_bulk_passes_hold_no_copy_of_the_whole_text(codebook):
     }
     peaks = {name: transient_peak(call) / len(text) for name, (call, _) in bounds.items()}
     assert all(peaks[name] < bound for name, (_, bound) in bounds.items()), peaks
+
+
+def test_encode_file_holds_no_copy_of_its_payload(codebook):
+    """encode_file gathers each codeword straight into the record rows,
+    block by block: beyond its output it holds the payload's byte values
+    and one block's index and header arrays."""
+    fd = FileDescriptor(np.random.default_rng(1).bytes(256 << 10), "bin")
+    batch = encode_file(fd, codebook)
+    peak = transient_peak(lambda: encode_file(fd, codebook)) / len(batch.codes)
+    assert peak < 0.25, peak

@@ -22,7 +22,6 @@ from dnagolay.mldecode import (
     _add_fields,
     _batched_min_stats,
     _flip_offsets,
-    _window_keys,
     audit_substitutions,
     candidate_images,
     decode_chunk,
@@ -39,7 +38,15 @@ from dnagolay.transcode import (
     encode_rows,
     trits_to_dna,
 )
+from batches import mixed_batches
 from hamming import hamming
+
+
+def _window_keys(windows):
+    """Each row of 11 base codes as a base-4 number, first base highest:
+    the reference of the decoder's packed keys."""
+    weights = 4 ** np.arange(10, -1, -1, dtype=np.uint32)
+    return (np.asarray(windows, dtype=np.uint32) @ weights).astype(np.uint32)
 
 
 @pytest.fixture(scope="module")
@@ -700,6 +707,23 @@ def test_batched_context_search_matches_one_call_per_context(codebook, seed, rat
     assert mldecode._best_contexts(keys, counts, images).tolist() == expected
 
 
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1))
+def test_payload_keys_match_per_record_window_keys(codebook, seed):
+    """The keys read from whole record rows are each record's windows
+    packed one by one, for the batch in order, shuffled and with records
+    left out."""
+    rng = np.random.default_rng(seed)
+    for batch in mixed_batches(codebook, seed):
+        shuffled = rng.permutation(len(batch))
+        for order in (slice(None), shuffled, shuffled[: len(batch) // 2]):
+            records = [batch[int(i)] for i in np.arange(len(batch))[order]]
+            keys, counts = mldecode._payload_keys(batch, order)
+            expected = [_window_keys(dna_codes(r.payload_dna).reshape(-1, 11)) for r in records]
+            assert counts.tolist() == [len(k) for k in expected]
+            assert keys.tolist() == np.concatenate([[], *expected]).astype(int).tolist()
+
+
 def _outcome(records, codebook):
     try:
         result = decode_file(records, codebook)
@@ -763,7 +787,6 @@ def test_blocked_decode_and_iteration_match_one_block(codebook, monkeypatch):
     shuffled = ChunkBatch.of(list(parsed)[::-1])
     expected = [_outcome(batch, codebook) for batch in (parsed, shuffled)]
     monkeypatch.setattr(chunks, "_RECORD_BLOCK", 4)
-    monkeypatch.setattr(mldecode, "_RECORD_BLOCK", 4)
     monkeypatch.setattr(mldecode, "_LOOKUP_BLOCK", 7)
     assert [_outcome(batch, codebook) for batch in (parsed, shuffled)] == expected
     reports = decode_file(parsed, codebook).per_chunk

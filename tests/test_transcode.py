@@ -12,6 +12,7 @@ from dnagolay.transcode import (
     encode_words,
     trit_codes,
     trits_to_dna,
+    word_images,
 )
 
 # the rotation table, row by row: prev base x trit -> next base
@@ -178,5 +179,11 @@ def test_encode_words_matches_stream_encode(count, prev):
     book = rng.integers(0, 3, size=(7, 11), dtype=np.uint8)
     words = rng.integers(0, 7, size=count)
     trits = "".join(str(t) for t in book[words].reshape(-1))
-    got = "".join("ACGT"[c] for c in encode_words(book, words, BASE_INDEX[prev]).reshape(-1))
+    images = word_images(tuple("".join(map(str, word)) for word in book))
+    # the payload columns of record rows, as encode_file writes them
+    rows = np.zeros((count, 11 + 3), dtype=np.uint8)
+    last = encode_words(images, words, BASE_INDEX[prev], rows[:, :11].view(images.dtype)[:, 0])
+    got = "".join("ACGT"[c] for c in rows[:, :11].ravel())
     assert got == trits_to_dna(trits, prev)
+    assert last == BASE_INDEX[got[-1]]
+    assert not rows[:, 11:].any()
