@@ -64,7 +64,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 __all__ = [
     "AlphabetError",

@@ -12,7 +12,8 @@ Layout of one encoded file:
   multiple of 11.
 * each chunk gets a header of 2 file-id trits, mu chunk-index trits and
   one parity trit, rotation-encoded from a fresh 'A' context. Headers
-  carry no error correction.
+  carry no error correction; blocks of them are written and read as
+  transposed trit matrices: digits, parity, rotation, and back.
 
 Records travel as one :class:`ChunkBatch`: the base codes of all records
 back to back plus a few per-record columns. Encoding writes each
@@ -331,16 +332,6 @@ def _check_chunk_bases(chunk_bases: int):
         )
 
 
-_TABLE_DIGITS = 7
-_TRITS = np.arange(3**_TABLE_DIGITS)[:, None] // 3 ** np.arange(_TABLE_DIGITS)[::-1] % 3
-_SUMS = np.c_[_TRITS[:, ::2].sum(1), _TRITS[:, 1::2].sum(1)]
-# each number below 3**7 after each base c, as the item c * 3**7 + number:
-# the rotation image of its trits, most significant first, then the sums
-# of its trits in even and in odd places
-_DIGIT_IMAGES = np.concatenate([np.c_[encode_rows(_TRITS, c), _SUMS] for c in range(4)])
-_DIGIT_IMAGES = _DIGIT_IMAGES.astype(np.uint8).view(f"V{_TABLE_DIGITS + 2}")[:, 0]
-
-
 def _header_values(file_id: int, indices, mu: int) -> np.ndarray:
     """The number file_id * 3**mu + index of each header, checked."""
     if not 0 <= file_id <= MAX_FILE_ID:
@@ -355,28 +346,20 @@ def _header_values(file_id: int, indices, mu: int) -> np.ndarray:
 
 
 def _header_rows(file_id: int, indices, mu: int) -> np.ndarray:
-    """(chunks, 3 + mu) header base codes, each from a fresh 'A' context:
-    the file id and the chunk index, whose images are read from
-    :data:`_DIGIT_IMAGES` seven trits at a time, then the parity trit."""
+    """(chunks, 3 + mu) header base codes: the steps of
+    :func:`make_header_dna` on rows. The base-3 digits of each header
+    value, most significant first, and the parity trit are rows of one
+    transposed trit matrix, rotation-encoded from a fresh 'A' context."""
     rem = _header_values(file_id, indices, mu)
     digits = FILE_ID_TRITS + mu
-    codes = np.empty((len(rem), digits + 1), dtype=np.uint8)
-    prev = np.full(len(rem), BASE_INDEX[DEFAULT_PREV_BASE], dtype=np.uint8)
-    parity = np.zeros(len(rem), dtype=np.uint8)
-    for end in range((digits - 1) % _TABLE_DIGITS + 1, digits + 1, _TABLE_DIGITS):
-        # a short first group is read after as many zeros as it lacks
-        # trits, from the base that those zeros lead back to 'A' from
-        skip = max(_TABLE_DIGITS - end, 0)
-        low = rem // 3 ** (digits - end) % 3**_TABLE_DIGITS
-        index = ((prev - skip) & 3) * np.intp(3**_TABLE_DIGITS) + low
-        image = np.take(_DIGIT_IMAGES, index).view(np.uint8).reshape(-1, _TABLE_DIGITS + 2)
-        codes[:, end - _TABLE_DIGITS + skip : end] = image[:, skip:_TABLE_DIGITS]
-        prev = image[:, _TABLE_DIGITS - 1]
-        # table place p is column end - 7 + p: the even columns are the
-        # table's even places when end - 7 is even, else its odd ones
-        parity += image[:, _TABLE_DIGITS + (end - _TABLE_DIGITS) % 2]
-    codes[:, -1] = (prev + parity % 3 + 1) & 3
-    return codes
+    trits = np.empty((digits + 1, len(rem)), dtype=np.uint8)
+    for place in range(digits - 1, -1, -1):
+        # numpy divides by a scalar twice as fast with // as with divmod
+        quotient = rem // 3
+        trits[place] = rem - quotient * 3
+        rem = quotient
+    trits[-1] = trits[:-1:2].sum(axis=0, dtype=np.uint8) % 3
+    return encode_rows(trits.T, BASE_INDEX[DEFAULT_PREV_BASE])
 
 
 def make_header_dna(file_id: int, chunk_index: int, mu: int) -> str:
@@ -541,7 +524,7 @@ def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     newlines: one finds the lines, one writes the codes of the sequence
     bytes into one array. A bad symbol's line is only looked up on error.
     """
-    data = text.replace("\r", "").encode("utf-8")
+    data = (text.replace("\r", "") if "\r" in text else text).encode("utf-8")
     buf = np.frombuffer(data, dtype=np.uint8)
     cuts = [0]
     while cuts[-1] < len(data):
@@ -598,10 +581,10 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch
         return ChunkBatch.of([])
     codes, lengths, title_lines = _split_fasta(text)
 
-    distinct = np.unique(lengths).tolist()
-    if len(distinct) > 2:
-        raise FastaError(f"inconsistent record lengths: {distinct}")
-    if len(distinct) == 2 and np.count_nonzero(lengths == distinct[0]) != 1:
+    if np.count_nonzero(lengths != lengths.max()) > 1:
+        distinct = np.unique(lengths).tolist()
+        if len(distinct) > 2:
+            raise FastaError(f"inconsistent record lengths: {distinct}")
         raise FastaError(
             f"multiple records of non-full length {distinct[0]}; "
             "only the final chunk may be short"

@@ -29,7 +29,6 @@ from .analysis import (
 )
 from .chunks import (
     DEFAULT_CHUNK_BASES,
-    FILE_ID_TRITS,
     ChunkError,
     FastaError,
     FileDescriptor,
@@ -85,7 +84,7 @@ def _cmd_encode(args) -> int:
     records = encode_file(fd, codebook, args.chunk_bases)
     Path(args.outfile).write_text(emit_fasta(records), encoding="utf-8")
     total_bases = len(records.codes)
-    mu = int(records.header_widths[0]) - FILE_ID_TRITS - 1
+    mu = records[0].mu
     cost = synthesis_cost(total_bases)
     print(f"encoded {len(data)} bytes -> {len(records)} chunk(s), mu={mu}")
     print(f"total bases: {total_bases}")
@@ -127,8 +126,10 @@ def _cmd_decode(args) -> int:
         print(f"wrote {out}")
         return EXIT_OK
     print(f"decode degraded; wrote {out}")
-    if result.unrecoverable_chunks:
-        print(f"missing chunk indices: {result.unrecoverable_chunks}")
+    missing = result.unrecoverable_chunks
+    if missing:  # the first few; the report lists them all
+        shown = ", ".join(map(str, missing[:10])) + (", ..." if len(missing) > 10 else "")
+        print(f"missing chunk indices: [{shown}] ({len(missing)} missing)")
     return EXIT_PARTIAL
 
 

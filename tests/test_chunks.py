@@ -239,6 +239,18 @@ def test_encode_file_batch_headers_match_scalar(codebook):
         assert rec.header_dna == make_header_dna(0, rec.chunk_index, mu)
 
 
+def test_header_rows_match_scalar_at_wide_mu():
+    # mu up to 20: headers of up to 23 trits, past any seven-trit grouping
+    rng = np.random.default_rng(20)
+    for mu in range(1, 21):
+        indices = [0, 1, 3**mu - 1, *rng.integers(0, 3**mu, 300).tolist()]
+        for file_id in (0, 8):
+            rows = chunks._header_rows(file_id, indices, mu)
+            assert rows.shape == (len(indices), 3 + mu)
+            got = [codes_to_dna(row) for row in rows]
+            assert got == [make_header_dna(file_id, index, mu) for index in indices]
+
+
 # --- FASTA round trip ---------------------------------------------------------
 
 def test_fasta_round_trip(codebook):

@@ -176,6 +176,25 @@ def test_decode_partial_on_missing_chunk(tmp_path, capsys):
     assert (tmp_path / "restored.bin.partial").exists()
 
 
+def test_decode_prints_a_few_missing_indices_and_reports_all(tmp_path, capsys):
+    source = tmp_path / "big.bin"
+    source.write_bytes(bytes(range(256)) * 80)
+    fasta = tmp_path / "full.fasta"
+    run(["encode", "--in", str(source), "--out", str(fasta)])
+    records = [r for r in fasta.read_text().split(">") if r]
+    # drop chunks 5 to 1504, far more indices than a screen holds
+    damaged = tmp_path / "damaged.fasta"
+    damaged.write_text(">" + ">".join(records[:5] + records[1505:]))
+    report = tmp_path / "decode.json"
+    capsys.readouterr()
+    argv = ["decode", "--in", str(damaged), "--out", str(tmp_path / "restored.bin")]
+    assert run([*argv, "--report", str(report)]) == 1
+    out = capsys.readouterr().out
+    assert len(out.encode()) < 4096
+    assert "missing chunk indices: [5, 6, 7, 8, 9, 10, 11, 12, 13, 14, ...] (1500 missing)" in out
+    assert json.loads(report.read_text())["unrecoverable_chunks"] == list(range(5, 1505))
+
+
 def test_decode_sets_aside_a_conflicting_record(tmp_path, sample_file, capsys):
     fasta = tmp_path / "out.fasta"
     run(["encode", "--in", str(sample_file), "--out", str(fasta)])
