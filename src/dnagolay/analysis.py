@@ -19,6 +19,7 @@ from .chunks import (
     DEFAULT_CHUNK_BASES,
     FILE_ID_TRITS,
     FileDescriptor,
+    _check_chunk_bases,
     encode_file,
     mu_for_segments,
 )
@@ -363,8 +364,10 @@ def count_record_bases(
     """Total bases emitted for a file of the given size, headers included.
 
     Pure arithmetic mirror of the encoder: content plus trailer
-    codewords, chunked, plus (3 + mu) header bases per chunk.
+    codewords, chunked, plus (3 + mu) header bases per chunk. Raises
+    :class:`ChunkError` for a chunk size that the encoder rejects.
     """
+    _check_chunk_bases(chunk_bases)
     if size_bytes < 0:
         raise ValueError("size must be >= 0")
     codewords = size_bytes + 1 + len(str(size_bytes)) + 1 + len(extension) + 1

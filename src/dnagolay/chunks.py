@@ -135,12 +135,14 @@ def _optional(value: int) -> int | None:
 class _Columns(Sequence):
     """A read-only sequence kept as columns of read-only arrays. It builds
     items ``lo`` to ``hi - 1`` (or its end) with ``_items(lo, hi)``, a
-    block at a time when iterated, and equals any sequence of equal items."""
+    block at a time when iterated, and equals any sequence of equal items.
+    Its constructor takes the columns in ``__slots__`` order and freezes
+    them."""
 
     __slots__ = ()
 
-    def _freeze(self, **columns: np.ndarray):
-        for name, column in columns.items():
+    def __init__(self, *columns: np.ndarray):
+        for name, column in zip(self.__slots__, columns, strict=True):
             column.flags.writeable = False
             setattr(self, name, column)
 
@@ -177,14 +179,12 @@ class ChunkBatch(_Columns):
 
     def __init__(self, codes, ends, header_widths, file_ids=None, chunk_indices=None):
         unknown = np.full(len(ends), _UNKNOWN, dtype=np.int64)
-        self._freeze(
-            codes=np.asarray(codes, dtype=np.uint8),
-            ends=np.asarray(ends, dtype=np.int64),
-            header_widths=np.asarray(header_widths, dtype=np.int64),
-            file_ids=np.asarray(unknown if file_ids is None else file_ids, dtype=np.int64),
-            chunk_indices=np.asarray(
-                unknown if chunk_indices is None else chunk_indices, dtype=np.int64
-            ),
+        super().__init__(
+            np.asarray(codes, dtype=np.uint8),
+            np.asarray(ends, dtype=np.int64),
+            np.asarray(header_widths, dtype=np.int64),
+            np.asarray(unknown if file_ids is None else file_ids, dtype=np.int64),
+            np.asarray(unknown if chunk_indices is None else chunk_indices, dtype=np.int64),
         )
 
     @classmethod
@@ -425,8 +425,10 @@ def _put_decimal(values: np.ndarray, out: np.ndarray):
     """Write non-negative integers as ASCII decimal digits, one per row
     of ``out``, whose width is their digit count."""
     for col in range(out.shape[1] - 1, -1, -1):
-        values, digits = np.divmod(values, 10)
-        out[:, col] = digits + _ORD_ZERO
+        # one floor division per column, as in _header_rows
+        quotient = values // 10
+        out[:, col] = values - quotient * 10 + _ORD_ZERO
+        values = quotient
 
 
 def _fasta_rows(

@@ -29,8 +29,6 @@ from .analysis import (
 )
 from .chunks import (
     DEFAULT_CHUNK_BASES,
-    ChunkError,
-    FastaError,
     FileDescriptor,
     MAX_FILE_ID,
     emit_fasta,
@@ -39,18 +37,16 @@ from .chunks import (
 )
 from .codebook import (
     CodeFamilySpec,
-    CodebookError,
     greedy_construct,
     load_codebook_file,
     load_default_codebook,
     verify_code,
     verify_subcode_243,
 )
-from .mldecode import DecodeError, decode_file
+from .mldecode import decode_file
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
-EXIT_USAGE = 2
 EXIT_IO = 3
 
 
@@ -391,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"I/O error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (ChunkError, FastaError, CodebookError, DecodeError, ConvergenceError, ValueError) as exc:
+    except (ConvergenceError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARTIAL
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -304,8 +304,10 @@ def verify_subcode_243(codebook: ByteCodebook) -> SubcodeReport:
     (expected: exactly distance 5).
     """
     matrix = _pairwise_distances(codebook.as_array())
+    # a word is no neighbour of itself: mask the diagonal past every distance
+    masked = CODEWORD_LENGTH + 1
+    np.fill_diagonal(matrix, masked)
     conflict = matrix < 6
-    np.fill_diagonal(conflict, False)
 
     alive = np.ones(CODE_SIZE, dtype=bool)
     degrees = conflict.sum(axis=1).astype(np.int64)
@@ -318,18 +320,14 @@ def verify_subcode_243(codebook: ByteCodebook) -> SubcodeReport:
         conflict[victim, :] = False
         conflict[:, victim] = False
 
+    def least(distances: np.ndarray) -> int | None:
+        found = int(distances.min(initial=masked))
+        return None if found == masked else found
+
     subset = tuple(int(v) for v in np.flatnonzero(alive))
     leftover = tuple(int(v) for v in np.flatnonzero(~alive))
-
-    subset_min = None
-    if len(subset) > 1:
-        sub = matrix[np.ix_(subset, subset)]
-        subset_min = int(sub[np.triu_indices(len(subset), k=1)].min())
-    leftover_min = None
-    if leftover:
-        rows = matrix[list(leftover)].astype(np.int64)
-        rows[np.arange(len(leftover)), list(leftover)] = np.iinfo(np.int64).max
-        leftover_min = int(rows.min())
+    subset_min = least(matrix[np.ix_(alive, alive)])
+    leftover_min = least(matrix[~alive])
 
     ok = (
         len(subset) >= 243
@@ -363,32 +361,26 @@ def greedy_construct(
         raise ValueError(f"unknown order {order!r}")
     if n > 26:
         raise ValueError("lengths above 26 are outside desk-scale candidate scans")
-    total = 3**n
+    if order == "lex":
+        candidates = (np.array(c, dtype=np.uint8) for c in product(range(3), repeat=n))
+    else:
+        # drawn lazily, 4,096 rows at a time, as int64: uint8 draws give other words
+        rng = np.random.default_rng(seed)
+        total = 3**n
+        candidates = chain.from_iterable(
+            rng.integers(0, 3, size=(min(4096, total - drawn), n)).astype(np.uint8)
+            for drawn in range(0, total, 4096)
+        )
 
     kept = np.empty((spec.size, n), dtype=np.uint8)
     count = 0
-
-    def try_keep(cand: np.ndarray) -> bool:
-        nonlocal count
+    for cand in candidates:
         if count and int((kept[:count] != cand).sum(axis=1).min()) < d:
-            return False
+            continue
         kept[count] = cand
         count += 1
-        return True
-
-    if order == "lex":
-        for cand in product(range(3), repeat=n):
-            if try_keep(np.array(cand, dtype=np.uint8)) and count == spec.size:
-                break
-    else:
-        rng = np.random.default_rng(seed)
-        drawn = 0
-        while drawn < total and count < spec.size:
-            batch = rng.integers(0, 3, size=(min(4096, total - drawn), n))
-            drawn += len(batch)
-            for cand in batch.astype(np.uint8):
-                if try_keep(cand) and count == spec.size:
-                    break
+        if count == spec.size:
+            break
 
     digits = kept[:count] + ord("0")
     return [row.tobytes().decode("ascii") for row in digits]

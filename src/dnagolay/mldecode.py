@@ -112,18 +112,6 @@ class ChunkReports(_Columns):
         "chunk_index", "file_id", "parity_ok", "codeword_distances", "window_ends", "ambiguities"
     )
 
-    def __init__(
-        self, chunk_index, file_id, parity_ok, codeword_distances, window_ends, ambiguities
-    ):
-        self._freeze(
-            chunk_index=chunk_index,
-            file_id=file_id,
-            parity_ok=parity_ok,
-            codeword_distances=codeword_distances,
-            window_ends=window_ends,
-            ambiguities=ambiguities,
-        )
-
     def __len__(self) -> int:
         return len(self.chunk_index)
 

@@ -87,12 +87,6 @@ def codes_to_dna(codes: np.ndarray) -> str:
     return data.translate(_CODE_TO_BASE).decode("ascii")
 
 
-def encode_codes(trit_values: np.ndarray, prev_code: int) -> np.ndarray:
-    """Vectorized rotation encode on code arrays."""
-    steps = (trit_values + 1).astype(np.uint8)
-    return (prev_code + np.cumsum(steps, dtype=np.uint8)) & 3
-
-
 def trits_to_dna(trits: str, prev_base: str = DEFAULT_PREV_BASE) -> str:
     """Encode a trit string as DNA that never repeats a base.
 
@@ -101,9 +95,9 @@ def trits_to_dna(trits: str, prev_base: str = DEFAULT_PREV_BASE) -> str:
     """
     trits = parse_trits(trits)
     prev_code = _base_code(prev_base)
-    if not trits:
-        return ""
-    return codes_to_dna(encode_codes(trit_codes(trits), prev_code))
+    # one prefix sum: encode_rows' column loop is slow on a single long row
+    codes = np.cumsum(trit_codes(trits) + 1, dtype=np.uint8)
+    return codes_to_dna((codes + prev_code) & 3)
 
 
 def encode_rows(trit_rows: np.ndarray, prev_code: int) -> np.ndarray:

@@ -20,7 +20,7 @@ from dnagolay.analysis import (
     solve_capacity,
     synthesis_cost,
 )
-from dnagolay.chunks import ChunkRecord, FileDescriptor, encode_file
+from dnagolay.chunks import ChunkError, ChunkRecord, FileDescriptor, encode_file
 from dnagolay.mldecode import DecodeError, decode_file
 from dnagolay.transcode import codes_to_dna
 from hamming import hamming
@@ -346,6 +346,10 @@ def test_count_record_bases_matches_encoder(codebook):
             records = encode_file(fd, codebook, chunk_bases)
             actual = sum(rec.total_length for rec in records)
             assert count_record_bases(size, ext, chunk_bases) == actual
+    # the chunk sizes that encode_file rejects price no layout either
+    for chunk_bases in (0, 50, 100):
+        with pytest.raises(ChunkError):
+            count_record_bases(100, "", chunk_bases)
 
 
 def test_cost_curve_pinned_values():

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 import dnagolay
-from dnagolay.chunks import decode_header, parse_fasta
+from dnagolay.chunks import ChunkError, FastaError, decode_header, parse_fasta
 from dnagolay.cli import main
-from dnagolay.mldecode import DecodeResult
+from dnagolay.codebook import CodebookError
+from dnagolay.mldecode import DecodeError, DecodeResult
+from dnagolay.ternary import AlphabetError
 
 
 def run(argv):
@@ -101,6 +103,16 @@ def test_missing_input_is_io_error(tmp_path, capsys):
     code = run(["encode", "--in", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "x")])
     assert code == 3
     assert "I/O error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error",
+    [ChunkError, FastaError, CodebookError, DecodeError, AlphabetError],
+    ids=lambda error: error.__name__,
+)
+def test_codec_errors_are_value_errors(error):
+    # main turns each into exit code 1 by catching ValueError
+    assert issubclass(error, ValueError)
 
 
 def test_corrupt_zero_count_keeps_fasta_identical(tmp_path, sample_file):

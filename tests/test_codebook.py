@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -159,6 +161,23 @@ def test_subcode_reports_violation_inside_claimed_subset(codebook):
     assert report.subset_min_distance >= 6
 
 
+_WEIGHT_FIVE_BYTES = (7, 11, 30, 55, 59, 61, 62, 121, 189, 199, 228, 232, 236)
+
+
+def test_subcode_report_fields_are_pinned(codebook):
+    report = verify_subcode_243(codebook)
+    assert report.leftover == _WEIGHT_FIVE_BYTES
+    assert report.subset == tuple(v for v in range(256) if v not in _WEIGHT_FIVE_BYTES)
+    assert (report.subset_min_distance, report.leftover_min_distance, report.ok) == (6, 5, True)
+
+    words = list(codebook.codewords)
+    words[1] = "00000201212"
+    spoiled = verify_subcode_243(ByteCodebook(codewords=tuple(words)))
+    assert spoiled.leftover == (1, *_WEIGHT_FIVE_BYTES)
+    assert spoiled.subset == tuple(v for v in range(256) if v not in spoiled.leftover)
+    assert (spoiled.subset_min_distance, spoiled.leftover_min_distance, spoiled.ok) == (6, 1, False)
+
+
 # --- greedy construction ------------------------------------------------------
 
 def test_greedy_exhausts_tiny_alphabet():
@@ -181,6 +200,20 @@ def test_greedy_random_is_seed_deterministic():
     c = greedy_construct(spec, order="random", seed=43)
     assert a == b
     assert a != c
+
+
+@pytest.mark.parametrize(
+    "order, seed, size, digest",
+    [
+        ("lex", 0, 24, "62128f8a6dd827a0791ae6a9c2e39cf0950b03dbee6f51e967c08245a7378109"),
+        ("random", 0, 21, "9de4768628f6e0c35eb8f16ab3be0714ff0bcd0d26eaae57b3e1be8f033420b5"),
+        ("random", 42, 18, "52078ea292365bfe4f97a671e5e12d0a26efa14bf3d18175e49e342b049fd985"),
+    ],
+)
+def test_greedy_words_are_pinned(order, seed, size, digest):
+    words = greedy_construct(CodeFamilySpec(7, 100, 4), order=order, seed=seed)
+    assert len(words) == size
+    assert hashlib.sha256("".join(words).encode("ascii")).hexdigest() == digest
 
 
 def test_greedy_rejects_unknown_order():
