@@ -484,8 +484,9 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
     # records alike in length and digit counts are one matrix of text, per block
     groups = (lengths * 32 + id_digits) * 32 + index_digits
     order = np.argsort(groups, kind="stable")
-    blocks = np.arange(_RECORD_BLOCK, len(order), _RECORD_BLOCK)
-    for rows in np.split(order, np.union1d(np.flatnonzero(np.diff(groups[order])) + 1, blocks)):
+    cuts = {*range(_RECORD_BLOCK, len(order), _RECORD_BLOCK)}  # np.union1d loads numpy.ma mid-emit
+    cuts.update((np.flatnonzero(np.diff(groups[order])) + 1).tolist())
+    for rows in np.split(order, sorted(cuts)):
         bases = sliding_window_view(batch.codes, int(lengths[rows[0]]))
         fasta = _fasta_rows(file_ids[rows], indices[rows], bases, starts[rows])
         sliding_window_view(text, fasta.shape[1], writeable=True)[offsets[rows]] = fasta

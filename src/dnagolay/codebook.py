@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from importlib import resources
-from itertools import chain, product
 
 import numpy as np
 
@@ -354,33 +353,39 @@ def greedy_construct(
     ``order='lex'`` streams all 3^n trit strings in lexicographic order
     (a classical lexicode); ``order='random'`` draws candidates from a
     seeded generator. Stops at ``spec.size`` words or when candidates
-    run out; the caller checks the achieved size.
+    run out; the caller checks the achieved size. Candidates come 4,096
+    at a time: one matrix drops those too close to a word kept before,
+    and only the rest are tested in turn against the words kept since.
     """
     n, d = spec.length, spec.min_distance
     if order not in ("lex", "random"):
         raise ValueError(f"unknown order {order!r}")
     if n > 26:
         raise ValueError("lengths above 26 are outside desk-scale candidate scans")
-    if order == "lex":
-        candidates = (np.array(c, dtype=np.uint8) for c in product(range(3), repeat=n))
-    else:
-        # drawn lazily, 4,096 rows at a time, as int64: uint8 draws give other words
-        rng = np.random.default_rng(seed)
-        total = 3**n
-        candidates = chain.from_iterable(
-            rng.integers(0, 3, size=(min(4096, total - drawn), n)).astype(np.uint8)
-            for drawn in range(0, total, 4096)
-        )
-
+    rng, powers = np.random.default_rng(seed), 3 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    one_hot = np.eye(3, dtype=np.float32)  # a trit's row: its agreements with 0, 1 and 2
     kept = np.empty((spec.size, n), dtype=np.uint8)
     count = 0
-    for cand in candidates:
-        if count and int((kept[:count] != cand).sum(axis=1).min()) < d:
-            continue
-        kept[count] = cand
-        count += 1
+    for lo in range(0, 3**n, 4096):
         if count == spec.size:
             break
+        if order == "lex":
+            block = np.arange(lo, min(lo + 4096, 3**n))[:, None] // powers % 3
+        else:  # drawn as int64: uint8 draws give other words
+            block = rng.integers(0, 3, size=(min(4096, 3**n - lo), n))
+        hot = one_hot[block].reshape(len(block), -1)
+        for at in range(0, count, 256):  # 256 kept words at a time bound the matrix
+            agreements = hot @ one_hot[kept[at : min(at + 256, count)]].reshape(-1, 3 * n).T
+            far = agreements.max(axis=1) <= n - d
+            block, hot = block[far], hot[far]
+        start = count
+        for cand in block:
+            if count > start and int((kept[start:count] != cand).sum(axis=1).min()) < d:
+                continue
+            kept[count] = cand
+            count += 1
+            if count == spec.size:
+                break
 
     digits = kept[:count] + ord("0")
     return [row.tobytes().decode("ascii") for row in digits]

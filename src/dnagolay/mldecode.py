@@ -15,18 +15,18 @@ is a base-by-base sum mod 4 of keys, :func:`_add_fields`. A codeword's
 image after base c is its image after 'A' shifted by c (mod 4), and a
 window's trit reading does not change under that shift, so windows are
 shifted into context 'A' and one image table serves all contexts. A
-table indexed by the last nine bases of a shifted window names an
-image, and a window equal to it is decoded; so is a window one base
-from it, when images are at least three substitutions apart and such a
-window decodes to it uniquely. Every other window goes to the kernel,
-:func:`_batched_min_stats`, which serves streams, chunks and the audit;
-:func:`decode_codeword_ml` is its scalar reference. The kernel sums one
-uint16 table row per key byte into ``distance << 9 | index`` for all
-256 images: one row minimum gives the distance and the nearest image,
-and a second one any tie. Both layers read only the shifted key, so the
-kernel decodes each distinct shifted key of a slice once; the audit
-gives it each block of codewords in all four contexts in one call, so a
-flipped image is decoded once for the four.
+table indexed by the last nine bases of a shifted window names an image
+and a radius, at most two, within which every window decodes to it
+alone; built from every window within two substitutions of an image, it
+gives ML decodes for any codebook. Ties and farther windows go to the
+kernel, :func:`_batched_min_stats`, which serves streams, chunks and the
+audit; :func:`decode_codeword_ml` is its scalar reference. The kernel
+sums one uint16 table row per key byte into ``distance << 9 | index``
+for all 256 images: one row minimum gives the distance and the nearest
+image, and a second one any tie. Both layers read only the shifted key,
+so the kernel decodes each distinct shifted key of a slice once; the
+audit gives it each block of codewords in all four contexts in one call,
+so a flipped image is decoded once for the four.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -250,46 +250,63 @@ def _flip_offsets(flips: int) -> np.ndarray:
     )
 
 
+def _radius_table(image_keys: np.ndarray) -> np.ndarray:
+    """The radius-2 table of ``image_keys``: under the last nine bases of
+    a key, ``radius << 8 | image``, such that every key within ``radius``
+    substitutions of the image decodes to it alone."""
+    offsets = [_flip_offsets(flips) for flips in range(3)]
+    entries = _add_fields(image_keys[:, None], np.concatenate(offsets)) << 10
+    entries |= np.repeat(np.arange(3, dtype=np.uint32), list(map(len, offsets))) << 8
+    entries |= np.arange(len(image_keys), dtype=np.uint32)[:, None]
+    entries = entries.ravel()  # key << 10 | substitutions << 8 | image
+    entries.sort()
+    step = (entries[1:] ^ entries[:-1]) >> 8  # 0 within a key and distance, < 4 within a key
+    # a key's first entry is its nearest image, unique unless the next entry ties it
+    unique = np.concatenate(([True], step > 3)) & np.append(step != 0, True)
+    del step
+    slots, near = entries >> 10 & _INDEX, (entries & 0x3FF).astype(np.uint16)
+    del entries
+    # a slot names the image of its nearest uniquely decoded key, the lowest on a tie
+    table = np.full(_INDEX + 1, 3 << 8, dtype=np.uint16)
+    np.minimum.at(table, slots[unique], near[unique])
+    table &= 0xFF
+    # and its radius stops short of its nearest key within 2 of that image not decoding to it alone
+    spoilers = ~unique & (table[slots] == (near & 0xFF))
+    table |= 2 << 8
+    np.minimum.at(table, slots[spoilers], near[spoilers] - (1 << 8))
+    return table
+
+
 class CandidateImages:
     """The codeword trits and the keys of their DNA images in context
     'A', cached per codebook, with the kernel's packed tables of both and
-    the radius-1 table: the byte value of an image under the last nine
-    bases of every key within ``radius`` substitutions of it. ``radius``
-    is 1 when images are at least 3 apart, which makes the image such a
-    window's unique decode, and else 0. Images' own keys are written
-    last, so each image owns its key unless another image shares its
-    last nine bases."""
+    the :func:`_radius_table` of the image keys."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
         self.image_keys = _row_keys(encode_rows(self.words, 0), 1)[:, 0]
+        self.table = _radius_table(self.image_keys)
         self.image_tables = _packed_tables(self.image_keys)
         self.word_tables = _packed_tables(_row_keys(self.words, 1)[:, 0])
-        # the least DNA distance of two images, which no context shift changes
-        pairs = _gather(self.image_keys, self.image_tables)
-        np.fill_diagonal(pairs, 0xFFFF)
-        self.min_distance = int(pairs.min()) >> _SHIFT
-        self.radius = min(1, (self.min_distance - 1) // 2)
-        self.table = np.zeros(_INDEX + 1, dtype=np.uint8)
-        if self.radius:
-            near = _add_fields(self.image_keys[:, None], _flip_offsets(1))
-            self.table[near & _INDEX] = np.arange(CODE_SIZE)[:, None]
-        self.table[self.image_keys & _INDEX] = np.arange(CODE_SIZE)
 
     def lookup(self, keys: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
         """Table decode of packed windows received after ``contexts``:
         (byte values, DNA distances, placed flags). A window is placed
-        when it differs from its value's image in at most ``radius``
-        bases; the image is then its unique ML decode. Any other window
-        needs the kernel, and its value and distance mean nothing.
-        """
+        when it differs from its entry's image in at most the entry's
+        radius of bases; the image is then its unique ML decode, at DNA
+        distance 0, 1 or 2. Any other window needs the kernel; its value
+        means nothing, and its distance is 1 to 3."""
         keys = _add_fields(keys, _NEGATIONS[contexts])
-        values = np.take(self.table, keys & _INDEX)
+        entries = np.take(self.table, keys & _INDEX)
+        values = entries.astype(np.uint8)  # the low byte: the image
         keys ^= np.take(self.image_keys, values)
         mismatches = (keys | keys >> 1) & _FIELDS  # the low bit of each differing base
-        # radius 1 clears the lowest set bit, so a single mismatch passes
-        placed = (mismatches & (mismatches - self.radius)) == 0
-        return values, (mismatches != 0).view(np.uint8), placed
+        # the count of differing bases, capped at 3: clear the lowest set bit twice
+        distances = (mismatches != 0).view(np.uint8)
+        for _ in range(2):
+            mismatches &= mismatches - 1
+            distances += mismatches != 0
+        return values, distances, distances <= entries >> 8
 
 
 @lru_cache(maxsize=4)
@@ -396,7 +413,7 @@ def _decode_stream(
     flags, final corrected base code of the last stream).
 
     A window's context is the last base of its corrected predecessor in
-    its stream. Round one looks every window up in the radius-1 table
+    its stream. Round one looks every window up in the radius-2 table
     under its received context, block by block; a window it finds exact
     keeps its last base, so an undamaged stream ends there. Each round,
     the kernel decodes the misses, except a miss whose context a hit of
@@ -637,10 +654,11 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     layers count as ambiguous even if the byte-value tiebreak happens to
     return the original.
 
-    The codewords go to the kernel in blocks, each in all four contexts
-    in one call of at most ``_SLICE`` windows. Every case is shifted by
-    its own context and tallied from its own result; the kernel decodes
-    a flipped image once for all four contexts, as they share its shift
+    The codewords are looked up in the radius-2 table in blocks, each in
+    all four contexts, and the cases it cannot place go to the kernel in
+    one call of at most ``_SLICE`` windows. Every case is shifted by its
+    own context and tallied from its own result; the kernel decodes a
+    flipped image once for all four contexts, as they share its shift
     into context 'A'.
     """
     offsets = _flip_offsets(flips)
@@ -651,11 +669,14 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     cases = unique_correct = ambiguous = miscorrected = 0
     for lo in range(0, CODE_SIZE, words):
         keys = _add_fields(received[:, lo : lo + words, None], offsets)
-        values, _, flagged = _batched_min_stats(
-            keys.ravel(), np.repeat(contexts, keys[0].size), images
+        block = np.repeat(contexts, keys[0].size)
+        values, _, placed = images.lookup(keys.ravel(), block)
+        flagged = np.zeros(keys.shape, dtype=bool)
+        misses = np.flatnonzero(~placed)
+        values[misses], _, flagged.ravel()[misses] = _batched_min_stats(
+            keys.ravel()[misses], block[misses], images
         )
         correct = values.reshape(keys.shape) == np.arange(lo, lo + keys.shape[1])[:, None]
-        flagged = flagged.reshape(keys.shape)
         cases += keys.size
         unique_correct += int((correct & ~flagged).sum())
         ambiguous += int(flagged.sum())

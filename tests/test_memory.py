@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 
 from dnagolay.chunks import FileDescriptor, emit_fasta, encode_file, parse_fasta
-from dnagolay.mldecode import decode_file
+from dnagolay.mldecode import CandidateImages, decode_file
 
 
 def transient_peak(call) -> int:
@@ -52,3 +52,18 @@ def test_encode_file_holds_no_copy_of_its_payload(codebook):
     batch = encode_file(fd, codebook)
     peak = transient_peak(lambda: encode_file(fd, codebook)) / len(batch.codes)
     assert peak < 0.25, peak
+
+
+def test_candidate_images_build_is_small(codebook):
+    """The radius-2 table is built from a sort of 256 x 529 uint32 keys and
+    kept as 512 KiB: the build retains the table and the kernel's tables,
+    and peaks at a few copies of the sorted keys."""
+    tracemalloc.start()
+    try:
+        images = CandidateImages(codebook)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert images.table.nbytes == 512 << 10
+    assert retained <= 1.5 * (1 << 20), retained
+    assert peak <= 3.5 * (1 << 20), peak
