@@ -18,8 +18,10 @@ Layout of one encoded file:
 Records travel as one :class:`ChunkBatch`: the base codes of all records
 back to back plus a few per-record columns. Encoding writes each
 codeword's image whole into the record rows; the decoder reads each
-record once as a row (:meth:`ChunkBatch.record_rows`). A
-:class:`ChunkRecord` is only built when a caller indexes or iterates it.
+record once as a row (:meth:`ChunkBatch.record_rows`). FASTA text is
+whole-record rows too: emit writes letters into them, and parse slices
+that layout before it reads lines. A :class:`ChunkRecord` is only built
+when a caller indexes or iterates it.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .codebook import CODEWORD_LENGTH, ByteCodebook
 from .ternary import parse_dna
 from .transcode import (
     _CHAR_TO_CODE_TABLE,
-    _CODE_TO_BASE,
     BASE_INDEX,
     DEFAULT_PREV_BASE,
     codes_to_dna,
@@ -59,7 +60,7 @@ _NEWLINE = ord("\n")
 _TITLE = ord(">")
 _UNKNOWN = -1
 # bulk passes work in blocks, so their temporaries do not grow with the file
-_TEXT_BLOCK = 1 << 18  # characters of FASTA text per block of emit and parse
+_TEXT_BLOCK = 1 << 18  # characters of FASTA text per block of the line reader
 _RECORD_BLOCK = 4096  # records per block of FASTA rows, records built or window keys
 
 
@@ -278,8 +279,7 @@ class ChunkBatch(_Columns):
         file_ids, indices = np.empty((2, len(self)), dtype=np.int64)
         parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
-        one_width = len(self) and widths.min() == widths.max()
-        for width in (widths[:1] if one_width else np.unique(widths)).tolist():
+        for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique loads numpy.ma
             # the place values of the file id and index trits, mod 2**64 as in int64
             values = np.zeros((2, width - 1), dtype=np.uint64)
             ids = min(FILE_ID_TRITS, width - 1)
@@ -431,26 +431,30 @@ def _put_decimal(values: np.ndarray, out: np.ndarray):
         values = quotient
 
 
-def _fasta_rows(
-    file_ids: np.ndarray, indices: np.ndarray, bases: np.ndarray, starts: np.ndarray
-) -> np.ndarray:
-    """FASTA text of records whose ids, indices and lengths have the same
-    digit counts, one row each: the ``>f<id>_c<index> len=<bases>``
-    title, then the rows ``starts`` of ``bases`` with a newline after
-    every 80 bases and at the end."""
-    count, length = len(starts), bases.shape[1]
+def _fasta_rows(file_ids: np.ndarray, indices: np.ndarray, codes: np.ndarray, out: np.ndarray):
+    """Write the FASTA text of records alike in id, index and length digits
+    into the rows of ``out``: the ``>f<id>_c<index> len=<bases>`` title, then
+    the letters of ``codes`` with a newline after every 80 and at the end."""
+    length = codes.shape[1]
     id_end = 2 + int(_digit_counts(file_ids[:1])[0])
     index_end = id_end + 2 + int(_digit_counts(indices[:1])[0])
     template = f">f{'0' * (id_end - 2)}_c{'0' * (index_end - id_end - 2)} len={length}\n"
     title = len(template)
-    rows = np.full((count, title + length + -(-length // FASTA_LINE_WIDTH)), _NEWLINE, np.uint8)
-    rows[:, :title] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
-    _put_decimal(file_ids, rows[:, 2:id_end])
-    _put_decimal(indices, rows[:, id_end + 2 : index_end])
+    out[:, :title] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
+    _put_decimal(file_ids, out[:, 2:id_end])
+    _put_decimal(indices, out[:, id_end + 2 : index_end])
+    # ACGT by uint8 arithmetic, faster than a lookup: 65 + 2u + 11 (u >> 2), u = c + (c >> 1)
+    high = codes >> 1
+    high += codes
+    letters = high >> 2
+    letters *= 11
+    letters += 65
+    high += high
+    letters += high
     for line, col in enumerate(range(0, length, FASTA_LINE_WIDTH)):
-        piece = bases[starts, col : col + FASTA_LINE_WIDTH]
-        rows[:, title + col + line : title + col + line + piece.shape[1]] = piece
-    return rows
+        at, width = title + col + line, min(FASTA_LINE_WIDTH, length - col)
+        out[:, at : at + width] = letters[:, col : col + width]
+        out[:, at + width] = _NEWLINE
 
 
 def emit_fasta(records: Sequence[ChunkRecord]) -> str:
@@ -459,6 +463,9 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
     Each record is titled ``>f<file_id>_c<chunk_index> len=<bases>``; a
     record that does not know its id or index, as a parsed one, takes it
     from its decoded header.
+
+    Records alike in length and digits are rows of text, a block at a
+    time: in place where they lie back to back, else gathered and scattered.
     """
     batch = ChunkBatch.of(records)
     if not len(batch):
@@ -470,55 +477,85 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
         indices = np.where(indices < 0, decoded_indices, indices)
     lengths, starts = batch.lengths, batch.starts
     id_digits, index_digits = _digit_counts(file_ids), _digit_counts(indices)
-    sizes = (
-        len(">f_c len=\n")
-        + id_digits
-        + index_digits
-        + _digit_counts(lengths)
-        + lengths
-        + -(-lengths // FASTA_LINE_WIDTH)
-    )
+    # a title line, then the bases with a newline after every 80 and at the end
+    sizes = len(">f_c len=\n") + id_digits + index_digits + _digit_counts(lengths)
+    sizes += lengths - -lengths // FASTA_LINE_WIDTH
     offsets = np.cumsum(sizes) - sizes
-    out = bytearray(int(sizes.sum()))
-    text = np.frombuffer(out, dtype=np.uint8)
-    # records alike in length and digit counts are one matrix of text, per block
+    # every byte is written below, so the text needs no zeroing
+    text = np.empty(int(offsets[-1] + sizes[-1]), dtype=np.uint8)
     groups = (lengths * 32 + id_digits) * 32 + index_digits
     order = np.argsort(groups, kind="stable")
     cuts = {*range(_RECORD_BLOCK, len(order), _RECORD_BLOCK)}  # np.union1d loads numpy.ma mid-emit
     cuts.update((np.flatnonzero(np.diff(groups[order])) + 1).tolist())
     for rows in np.split(order, sorted(cuts)):
-        bases = sliding_window_view(batch.codes, int(lengths[rows[0]]))
-        fasta = _fasta_rows(file_ids[rows], indices[rows], bases, starts[rows])
-        sliding_window_view(text, fasta.shape[1], writeable=True)[offsets[rows]] = fasta
-    # the bases are still codes 0..3; the table keeps every other byte
-    for lo in range(0, len(out), _TEXT_BLOCK):
-        out[lo : lo + _TEXT_BLOCK] = out[lo : lo + _TEXT_BLOCK].translate(_CODE_TO_BASE)
-    return out.decode("ascii")
-
-
-def _infer_mu(lengths: np.ndarray, chunk_bases: int) -> int:
-    full_record = int(lengths.max())
-    if full_record < chunk_bases + FILE_ID_TRITS + 2:
-        # no full record: the header width that leaves whole windows
-        return (full_record - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
-    return full_record - chunk_bases - FILE_ID_TRITS - 1
+        first, count, length, size = rows[0], len(rows), lengths[rows[0]], sizes[rows[0]]
+        if rows[-1] - first == count - 1:  # back to back (a stable sort keeps rows ascending)
+            codes = batch.codes[starts[first] : starts[first] + count * length]
+            place = text[offsets[first] : offsets[first] + count * size].reshape(count, size)
+            _fasta_rows(file_ids[rows], indices[rows], codes.reshape(count, length), place)
+        else:
+            place = np.empty((count, size), dtype=np.uint8)
+            codes = sliding_window_view(batch.codes, length)[starts[rows]]
+            _fasta_rows(file_ids[rows], indices[rows], codes, place)
+            sliding_window_view(text, size, writeable=True)[offsets[rows]] = place
+    return str(text, "ascii")
 
 
 def _split_fasta(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Base codes of all records, concatenated, with each record's
     length and the 1-based line number of its title.
 
-    The text is first read the way :func:`emit_fasta` writes it: lines
-    end at newlines and carriage returns are dropped. If that reading
-    fails, the text is read again with lines split as
-    :meth:`str.splitlines` does and stripped, and that reading decides,
-    errors included. Blank lines are skipped; a line starting with '>'
-    opens a record.
-    """
+    Text laid out as :func:`emit_fasta` writes it is read as rows
+    (:func:`_split_layout`), any other by lines: lines end at newlines,
+    carriage returns are dropped, blank lines are skipped and a line
+    starting with '>' opens a record. If that fails, lines split as
+    :meth:`str.splitlines` does and stripped decide, errors included."""
     try:
-        return _split_lines(text)
+        return _split_layout(text) or _split_lines(text)
     except FastaError:
         return _split_lines("\n".join(map(str.strip, text.splitlines())))
+
+
+def _split_layout(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """:func:`_split_fasta` of text laid out as :func:`emit_fasta` writes it
+    in encode order, else None. Records of one title width and length in a
+    row are rows up to the first whose '>' or newlines are out of place, each
+    column probed as a bytes slice; each block's bases are copied into one
+    codes array and translated there. A newline in a title, a non-base (a CR,
+    say), a narrower title or a second run of another length gives None."""
+    data = text.encode("utf-8")
+    runs, pos, others = [], 0, 0  # blocks of rows: (first byte, rows, title width, span, bases)
+    while pos < len(data):
+        end = data.find(b"\n", pos)
+        title, span = end + 1 - pos, (data.find(b"\n>", end) + 1 or len(data)) - pos
+        length = span - title - -(-(span - title) // (FASTA_LINE_WIDTH + 1))
+        count = (len(data) - pos) // span if end >= 0 and length > 0 else 0
+        for col in [0, *range(title - 1, span - 1, FASTA_LINE_WIDTH + 1), span - 1]:
+            column = data[pos + col : pos + count * span : span]  # the rows' bytes in it
+            count = len(column) - len(column.lstrip(b"\n" if col else b">"))
+        others += bool(runs) and length != runs[0][4]
+        if not count or runs and runs[-1][4] == length and title < runs[-1][2] or others > 1:
+            return None
+        for lo in range(0, count, _RECORD_BLOCK):
+            runs.append((pos + lo * span, min(_RECORD_BLOCK, count - lo), title, span, length))
+        pos += count * span
+    codes = np.empty(sum(run[1] * run[4] for run in runs), dtype=np.uint8)
+    at = 0
+    for pos, count, title, span, length in runs:
+        rows = np.frombuffer(data, np.uint8, count * span, pos).reshape(count, span)
+        block = codes[at : at + count * length]
+        at += block.size
+        for line, col in enumerate(range(0, length, FASTA_LINE_WIDTH)):
+            at_text, width = title + col + line, min(FASTA_LINE_WIDTH, length - col)
+            block.reshape(count, length)[:, col : col + width] = rows[:, at_text : at_text + width]
+        letters = block.tobytes().translate(_CHAR_TO_CODE_TABLE)
+        if 255 in letters or np.count_nonzero(rows[:, 1 : title - 1] == _NEWLINE):
+            return None
+        memoryview(block)[:] = letters
+    # each record is its title line and one line per 80 bases
+    counts, lengths = zip(*(run[1::3] for run in runs))
+    record_lines = np.repeat([1 - -length // FASTA_LINE_WIDTH for length in lengths], counts)
+    return codes, np.repeat(lengths, counts), np.cumsum(record_lines) - record_lines + 1
 
 
 def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -584,26 +621,29 @@ def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch
         return ChunkBatch.of([])
     codes, lengths, title_lines = _split_fasta(text)
 
-    if np.count_nonzero(lengths != lengths.max()) > 1:
-        distinct = np.unique(lengths).tolist()
+    longest = int(lengths.max())
+    short = np.flatnonzero(lengths != longest)
+    if len(short) > 1:
+        distinct = np.unique(lengths, return_counts=True)[0].tolist()  # counts: no numpy.ma
         if len(distinct) > 2:
             raise FastaError(f"inconsistent record lengths: {distinct}")
         raise FastaError(
             f"multiple records of non-full length {distinct[0]}; "
             "only the final chunk may be short"
         )
-    mu = _infer_mu(lengths, chunk_bases)
+    mu = longest - chunk_bases - FILE_ID_TRITS - 1
+    if mu < 1:  # no full record: the header width that leaves whole windows
+        mu = (longest - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
     header_len = FILE_ID_TRITS + mu + 1
-    payload_lengths = lengths - header_len
-    bad = (payload_lengths < CODEWORD_LENGTH) | (payload_lengths % CODEWORD_LENGTH != 0)
-    if bad.any():
-        first = int(bad.argmax())
-        raise FastaError(
-            f"record length {int(lengths[first])} leaves a payload of "
-            f"{int(payload_lengths[first])} bases, not a positive multiple of "
-            f"{CODEWORD_LENGTH}",
-            int(title_lines[first]),
-        )
+    # the first record of each length stands for all records of that length
+    for first in sorted({int(lengths.argmax()), *short.tolist()}):
+        payload = int(lengths[first]) - header_len
+        if payload < CODEWORD_LENGTH or payload % CODEWORD_LENGTH:
+            raise FastaError(
+                f"record length {int(lengths[first])} leaves a payload of {payload} "
+                f"bases, not a positive multiple of {CODEWORD_LENGTH}",
+                int(title_lines[first]),
+            )
     return ChunkBatch(codes, np.cumsum(lengths), np.full(len(lengths), header_len))
 
 

@@ -1,5 +1,8 @@
 import gc
 import hashlib
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -546,13 +549,143 @@ def test_parse_blocks_report_data_before_a_title_and_empty_records(fasta, monkey
 
 def test_emit_blocks_write_the_same_text(codebook, monkeypatch):
     small = encode_file(FileDescriptor(content=bytes(30), extension=""), codebook)
+    # 335 records: titles widen at c9 -> c10 and c99 -> c100, and the last is short
     large = encode_file(FileDescriptor(content=bytes(3000), extension="x", file_id=2), codebook)
+    assert len(large) > 100 and large.lengths[-1] < large.lengths[0]
     mixed = ChunkBatch.of([rec for pair in zip(small, large) for rec in pair] + list(large[5:]))
-    expected = [emit_fasta(batch) for batch in (large, mixed)]
+    order = np.random.default_rng(3).permutation(len(large))
+    shuffled = ChunkBatch.of([large[i] for i in order])
+    # parsed records know no id or index: titles come from their headers,
+    # and in shuffled order no group of alike records lies back to back
+    parsed = parse_fasta(emit_fasta(shuffled))
+    batches = (large, mixed, shuffled, parsed)
+    expected = [emit_fasta(batch) for batch in batches]
     monkeypatch.setattr(chunks, "_TEXT_BLOCK", 100)
     monkeypatch.setattr(chunks, "_RECORD_BLOCK", 3)
-    assert [emit_fasta(batch) for batch in (large, mixed)] == expected
+    assert [emit_fasta(batch) for batch in batches] == expected
     assert expected[1] == "".join(emit_fasta([rec]) for rec in mixed)
+    assert expected[2] == expected[3] == "".join(emit_fasta([large[i]]) for i in order)
+
+
+@pytest.mark.parametrize("block", [1, 3, 4096])
+def test_parse_blocks_cross_runs_of_records(codebook, monkeypatch, block):
+    """Rows of one title width run from c0 to c9, c10 to c99 and c100 on,
+    and the short last record is a run of its own; blocks of rows cut the
+    runs anywhere. Out of encode order (shuffled, so that titles narrow, or
+    with a second short record) the line reader decides alone."""
+    large = encode_file(FileDescriptor(content=bytes(3000), extension="x", file_id=2), codebook)
+    order = np.random.default_rng(4).permutation(len(large))
+    batches = [large, ChunkBatch.of([large[i] for i in order])]
+    batches.append(ChunkBatch.of([*large[:20], large[-1], *large[20:30], large[-1]]))
+    texts = [emit_fasta(batch) for batch in batches]
+    expected = [reading(text) for text in texts]
+    assert "multiple records of non-full length" in expected[2][0]
+    monkeypatch.setattr(chunks, "_RECORD_BLOCK", block)
+    assert [chunks._split_layout(text) is not None for text in texts] == [True, False, False]
+    assert [reading(text) for text in texts] == expected
+    monkeypatch.setattr(chunks, "_split_layout", lambda text: None)
+    assert [reading(text) for text in texts] == expected
+
+
+def columns(batch):
+    return [col.tolist() for col in (batch.codes, batch.ends, batch.header_widths,
+                                     batch.file_ids, batch.chunk_indices)]
+
+
+def reading(text):
+    """The columns parse_fasta returns for ``text``, or its error and line."""
+    try:
+        return columns(parse_fasta(text))
+    except FastaError as exc:
+        return str(exc), exc.line
+
+
+def perturbations(text, rng):
+    """Emitted ``text`` and the ways a FASTA file can leave its layout."""
+    lines = text.split("\n")[:-1]
+    titles = [i for i, line in enumerate(lines) if line.startswith(">")]
+    long = [i for i in range(len(lines) - 1) if len(lines[i]) == 80 and lines[i + 1][:1] != ">"]
+    def pick(items):
+        return items[rng.integers(len(items))]
+
+    def edit(i, line):
+        return "\n".join(lines[:i] + [line] + lines[i + 1 :]) + "\n"
+
+    def moved_break(i, shift):  # the 80-base line i holds 80 + shift bases
+        joined = lines[i] + lines[i + 1]
+        return "\n".join(lines[:i] + [joined[: 80 + shift], joined[80 + shift :]] + lines[i + 2 :]) + "\n"
+
+    t, b, first, last = pick(titles), pick(titles[1:] or titles), titles[0] + 1, len(lines) - 1
+    cases = {
+        "as emitted": text,
+        "newline inside a title": edit(t, lines[t][:4] + "\n" + lines[t][4:]),
+        # same width, so that every newline the layout expects stays in place
+        "title split before bases": edit(t, lines[t][:4] + "\n" + ("ACGT" * 9)[: len(lines[t]) - 5]),
+        "blank line between records": edit(b, "\n" + lines[b]),
+        "CRLF": text.replace("\n", "\r\n"),
+        "trailing spaces": edit(last, lines[last] + "  "),
+        "lower case": text.lower(),
+        "N in the first record": edit(first, "N" + lines[first][1:]),
+        "N in the last record": edit(last, lines[last][:-1] + "N"),
+        "no final newline": text[:-1],
+        "title without '>'": edit(t, lines[t][1:]),
+        "title opened by another symbol": edit(t, ";" + lines[t][1:]),
+        "first title opened by another symbol": ";" + text[1:],
+        "title after a space": edit(t, " " + lines[t]),
+        "record with no sequence": edit(t, ">empty\n" + lines[t]),
+    }
+    if long:
+        i = pick(long)
+        cases["line of 79 bases"] = moved_break(i, -1)
+        cases["line of 81 bases"] = moved_break(i, 1)
+    return cases
+
+
+@pytest.mark.parametrize("seed", range(16))
+def test_layout_reading_agrees_with_the_line_reader(codebook, monkeypatch, seed):
+    """parse_fasta reads emitted text as rows; on any text, laid out or
+    not, it returns what the line reader alone returns, or raises its
+    error at its line."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(0, 350))  # 1 to 40 records
+    fd = FileDescriptor(rng.bytes(size), "bin", file_id=int(rng.integers(9)))
+    text = emit_fasta(encode_file(fd, codebook))
+    assert 1 <= text.count(">") <= 40
+    for name, case in perturbations(text, rng).items():
+        got = reading(case)
+        with monkeypatch.context() as patched:
+            patched.setattr(chunks, "_split_layout", lambda text: None)
+            assert got == reading(case), name
+    assert chunks._split_layout(text) is not None
+
+
+def test_header_widths_and_length_errors_leave_numpy_ma_unloaded():
+    """np.unique with no return arrays imports numpy.ma on its first call,
+    in the middle of a bulk pass; decoded_headers on mixed header widths
+    and parse_fasta's length error use forms that do not."""
+    code = """if True:
+        import sys
+        import numpy as np
+        from dnagolay import load_default_codebook
+        from dnagolay.chunks import ChunkBatch, ChunkRecord, FastaError, FileDescriptor
+        from dnagolay.chunks import emit_fasta, encode_file, parse_fasta
+        from dnagolay.mldecode import decode_file
+        book = load_default_codebook()
+        fd = FileDescriptor(np.random.default_rng(0).bytes(2000), "bin")
+        assert decode_file(parse_fasta(emit_fasta(encode_file(fd, book))), book).content == fd.content
+        mixed = ChunkBatch.of([ChunkRecord("ACGTACGTACG", "ACGT"), ChunkRecord("ACGTACGTACG", "ACGTA")])
+        mixed.decoded_headers()
+        try:
+            parse_fasta(">a\\nACGT\\n>b\\nACG\\n>c\\nAC\\n")
+        except FastaError as exc:
+            print(exc)
+        print("numpy.ma" in sys.modules)
+    """
+    src = os.path.dirname(os.path.dirname(chunks.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["inconsistent record lengths: [2, 3, 4]", "False"]
 
 
 def test_encode_blocks_write_the_same_codes(codebook, monkeypatch):

@@ -32,11 +32,12 @@ def test_bulk_passes_hold_no_copy_of_the_whole_text(codebook):
     parsed = parse_fasta(text)
     assert decode_file(parsed, codebook).content == data
     # emit_fasta fills one text-sized buffer before it makes the str, and
-    # parse_fasta reads the text encoded once; iterating builds records
-    # block by block and holds no text at all
+    # parse_fasta reads the text encoded once; neither holds a second
+    # buffer of that size. Iterating builds records block by block and
+    # holds no text at all
     bounds = {
-        "emit_fasta": (lambda: emit_fasta(batch), 2.0),
-        "parse_fasta": (lambda: parse_fasta(text), 2.0),
+        "emit_fasta": (lambda: emit_fasta(batch), 1.6),
+        "parse_fasta": (lambda: parse_fasta(text), 1.6),
         "decode_file": (lambda: decode_file(parsed, codebook), 2.0),
         "list(batch)": (lambda: list(batch), 0.5),
     }
