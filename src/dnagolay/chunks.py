@@ -280,11 +280,7 @@ class ChunkBatch(_Columns):
         parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
         for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique loads numpy.ma
-            # the place values of the file id and index trits, mod 2**64 as in int64
-            values = np.zeros((2, width - 1), dtype=np.uint64)
             ids = min(FILE_ID_TRITS, width - 1)
-            values[0, :ids] = 3 ** np.arange(ids)[::-1]
-            values[1, ids:] = [3**p % 2**64 for p in range(width - ids - 2, -1, -1)]
             records = np.flatnonzero(widths == width)
             for lo in range(0, len(records), _RECORD_BLOCK):
                 block = records[lo : lo + _RECORD_BLOCK]
@@ -292,10 +288,20 @@ class ChunkBatch(_Columns):
                 trits = decode_rows(headers.T.copy().T, BASE_INDEX[DEFAULT_PREV_BASE]).T
                 unreadable = trits == 3
                 trits[unreadable] = 0
-                file_ids[block], indices[block] = (values @ trits[:-1]).view(np.int64)
+                file_ids[block], indices[block] = _horner(trits[:ids]), _horner(trits[ids:-1])
                 parity = trits[:-1:2].sum(axis=0, dtype=np.uint8) % 3
                 parity_ok[block] = ~unreadable.any(axis=0) & (parity == trits[-1])
         return file_ids, indices, parity_ok
+
+
+def _horner(trits: np.ndarray) -> np.ndarray:
+    """The base-3 values of the columns of a trit matrix, first row most
+    significant, wrapping mod 2**64 as int64 arithmetic does."""
+    values = np.zeros(trits.shape[1], dtype=np.int64)
+    for row in trits:
+        values *= 3
+        values += row
+    return values
 
 
 def mu_for_segments(segment_count: int) -> int:

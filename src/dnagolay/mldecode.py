@@ -18,15 +18,19 @@ shifted into context 'A' and one image table serves all contexts. A
 table indexed by the last nine bases of a shifted window names an image
 and a radius, at most two, within which every window decodes to it
 alone; built from every window within two substitutions of an image, it
-gives ML decodes for any codebook. Ties and farther windows go to the
-kernel, :func:`_batched_min_stats`, which serves streams, chunks and the
-audit; :func:`decode_codeword_ml` is its scalar reference. The kernel
-sums one uint16 table row per key byte into ``distance << 9 | index``
-for all 256 images: one row minimum gives the distance and the nearest
-image, and a second one any tie. Both layers read only the shifted key,
-so the kernel decodes each distinct shifted key of a slice once; the
-audit gives it each block of codewords in all four contexts in one call,
-so a flipped image is decoded once for the four.
+gives ML decodes for any codebook. The same sort gives the near table:
+the windows within two substitutions of an image that the radius-2
+table does not place, sorted, each with its ML answer. All other windows
+go to the kernel, :func:`_batched_min_stats`, which serves streams,
+chunks and the audit; :func:`decode_codeword_ml` is its scalar
+reference. The kernel answers every key in the near table by one sorted
+search, and sums for each farther key one uint16 table row per key byte
+into ``distance << 9 | index`` for all 256 images: one row minimum gives
+the distance and the nearest image, and a second one any tie. Both
+layers read only the shifted key, so the kernel decodes each distinct
+shifted key of a slice once; the audit gives it each block of codewords
+in all four contexts in one call, so a flipped image is decoded once for
+the four.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -178,6 +182,8 @@ _BYTE_VALUES = (256, 256, 64)
 # the number of nonzero 2-bit fields in each byte: its mismatches when it is an XOR
 _BYTE_MISMATCHES = sum((np.arange(256) >> 2 * f & 3) != 0 for f in range(4)).astype(np.uint16)
 _PACK = np.uint32(1 | 1 << 10 | 1 << 20 | 1 << 30)  # see _row_keys
+# the fields of a near table answer, value | distance << 8 | ambiguous << 10, in their low bytes
+_ANSWER_SHIFTS = np.array([[0], [8], [10]], dtype=np.uint16)
 
 
 def _add_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -236,11 +242,13 @@ def _row_keys(rows: np.ndarray, words: int) -> np.ndarray:
     return a << 14 | b << 6 | c
 
 
+@lru_cache(maxsize=None)
 def _flip_offsets(flips: int) -> np.ndarray:
     """The keys that add 1, 2 or 3 to each of ``flips`` distinct bases:
     every substitution of that many bases, as an offset to add by
-    :func:`_add_fields` (a substituted base never maps to itself)."""
-    return np.array(
+    :func:`_add_fields` (a substituted base never maps to itself).
+    Built once per flip count and read-only."""
+    offsets = np.array(
         [
             sum(off << 2 * pos for pos, off in zip(positions, offsets))
             for positions in combinations(range(CODEWORD_LENGTH), flips)
@@ -248,12 +256,21 @@ def _flip_offsets(flips: int) -> np.ndarray:
         ],
         dtype=np.uint32,
     )
+    offsets.flags.writeable = False
+    return offsets
 
 
-def _radius_table(image_keys: np.ndarray) -> np.ndarray:
-    """The radius-2 table of ``image_keys``: under the last nine bases of
-    a key, ``radius << 8 | image``, such that every key within ``radius``
-    substitutions of the image decodes to it alone."""
+def _radius_tables(image_keys: np.ndarray, word_keys: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The radius-2 table of ``image_keys`` and the near table of the keys
+    within two substitutions of an image that it does not place, both
+    from one sort of every such key.
+
+    Under the last nine bases of a key, the radius-2 table holds
+    ``radius << 8 | image``, such that every key within ``radius``
+    substitutions of the image decodes to it alone. The near table is
+    those other keys, sorted, and the kernel's answer for each, ``value |
+    distance << 8 | ambiguous << 10``: a tie on DNA distance is broken by
+    the trit distance to ``word_keys``, the codewords packed as keys."""
     offsets = [_flip_offsets(flips) for flips in range(3)]
     entries = _add_fields(image_keys[:, None], np.concatenate(offsets)) << 10
     entries |= np.repeat(np.arange(3, dtype=np.uint32), list(map(len, offsets))) << 8
@@ -262,32 +279,68 @@ def _radius_table(image_keys: np.ndarray) -> np.ndarray:
     entries.sort()
     step = (entries[1:] ^ entries[:-1]) >> 8  # 0 within a key and distance, < 4 within a key
     # a key's first entry is its nearest image, unique unless the next entry ties it
-    unique = np.concatenate(([True], step > 3)) & np.append(step != 0, True)
+    first = np.concatenate(([True], step > 3))
+    tied = np.append(step == 0, False)
     del step
+    others = np.flatnonzero(~first | tied)  # every entry but a unique nearest image
+    # the places in others of the tied keys' first entries, and of the entries the next ties
+    heads, links = np.flatnonzero(first[others]), tied[others]
+    del tied
     slots, near = entries >> 10 & _INDEX, (entries & 0x3FF).astype(np.uint16)
-    del entries
     # a slot names the image of its nearest uniquely decoded key, the lowest on a tie
     table = np.full(_INDEX + 1, 3 << 8, dtype=np.uint16)
-    np.minimum.at(table, slots[unique], near[unique])
+    nearest = near.copy()
+    nearest[others] = 0xFFFF
+    np.minimum.at(table, slots, nearest)
+    del nearest
     table &= 0xFF
     # and its radius stops short of its nearest key within 2 of that image not decoding to it alone
-    spoilers = ~unique & (table[slots] == (near & 0xFF))
+    spoilers = others[table[slots[others]] == (near[others] & 0xFF)]
     table |= 2 << 8
     np.minimum.at(table, slots[spoilers], near[spoilers] - (1 << 8))
-    return table
+    # lookup places each key within the radius of the image its slot names; the near table
+    # holds the others, each with its nearest image and distance
+    slot_entries = table[slots]
+    del slots
+    placed = ((slot_entries ^ near) & 0xFF == 0) & (near <= slot_entries)
+    rest = np.flatnonzero(first & ~placed)
+    del slot_entries, placed
+    # a last key above every window key ends every search inside the table
+    near_keys = np.append(entries[rest] >> 10, np.uint32(4**CODEWORD_LENGTH))
+    answers = np.append(near[rest], np.uint16(0))
+    # a tied key's nearest images are its first entry and each entry that ties the one
+    # before, all in others; the trit layer keeps the lowest of those nearest to the key's
+    # trit reading, and flags a tie
+    sizes = np.ones_like(heads)
+    more = links[heads]
+    while more.any():
+        sizes += more
+        more = links[heads + sizes - 1]
+    starts = np.cumsum(sizes) - sizes
+    members = others[np.repeat(heads - starts, sizes) + np.arange(sizes.sum())]
+    keys, images = entries[members] >> 10, near[members] & 0xFF
+    readings = _add_fields(keys, ~keys >> 2)
+    trits = _BYTE_MISMATCHES[_key_bytes(readings ^ word_keys[images])].sum(axis=0, dtype=np.uint16)
+    best = np.minimum.reduceat(trits << 8 | images, starts)
+    finalists = np.add.reduceat(trits == np.repeat(best >> 8, sizes), starts)
+    ties = np.searchsorted(rest, others[heads])
+    answers[ties] = answers[ties] & 0x300 | best & 0xFF | (finalists > 1) << 10
+    return table, near_keys, answers
 
 
 class CandidateImages:
     """The codeword trits and the keys of their DNA images in context
     'A', cached per codebook, with the kernel's packed tables of both and
-    the :func:`_radius_table` of the image keys."""
+    the :func:`_radius_tables` of the image keys: ``table`` for
+    :meth:`lookup`, and ``near_keys`` with ``near_answers`` for the kernel."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
         self.image_keys = _row_keys(encode_rows(self.words, 0), 1)[:, 0]
-        self.table = _radius_table(self.image_keys)
+        word_keys = _row_keys(self.words, 1)[:, 0]
+        self.table, self.near_keys, self.near_answers = _radius_tables(self.image_keys, word_keys)
         self.image_tables = _packed_tables(self.image_keys)
-        self.word_tables = _packed_tables(_row_keys(self.words, 1)[:, 0])
+        self.word_tables = _packed_tables(word_keys)
 
     def lookup(self, keys: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
         """Table decode of packed windows received after ``contexts``:
@@ -362,11 +415,14 @@ def _batched_min_stats(
     Keys are shifted into context 'A' ``_SLICE`` at a time, and each
     distinct shifted key of a slice is decoded once; both layers read
     only the shifted key, so its result is scattered back to every key
-    that shares it. Per block of distinct keys, the packed distances to
-    all images are summed from the image tables; :func:`_nearest` reads
-    the distance, the lowest-index nearest image and a tie flag from
-    them. Only the tied keys take the trit layer, inside the same block:
-    the same search over the word tables, with untied images set to 0xFFFF.
+    that shares it. One sorted search of the near table answers every
+    distinct key within two substitutions of an image that the radius-2
+    table does not place. The others, in blocks, sum their packed
+    distances to all images from the image tables; :func:`_nearest`
+    reads the distance, the lowest-index nearest image and a tie flag
+    from them. Only the tied keys take the trit layer, inside the same
+    block: the same search over the word tables, with untied images set
+    to 0xFFFF.
     """
     n = len(keys)
     contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
@@ -379,12 +435,18 @@ def _batched_min_stats(
         distinct, inverse = np.unique(
             _add_fields(keys[part], _NEGATIONS[contexts[part]]), return_inverse=True
         )
-        found = np.zeros((3, len(distinct)), dtype=np.uint8)  # values, distances, ties
-        for start in range(0, len(distinct), _BLOCK):
-            shifted = distinct[start : start + _BLOCK]
-            packed = _gather(shifted, images.image_tables, *buffers[:, : len(shifted)])
+        at = np.searchsorted(images.near_keys, distinct)
+        # values, distances and ties, as the near table answers them
+        found = (images.near_answers[at] >> _ANSWER_SHIFTS).astype(np.uint8)
+        found[1] &= 3
+        far = np.flatnonzero(images.near_keys[at] != distinct)
+        for start in range(0, len(far), _BLOCK):
+            block = far[start : start + _BLOCK]
+            shifted = distinct[block]
+            packed = _gather(shifted, images.image_tables, *buffers[:, : len(block)])
             best, tied = _nearest(packed)
-            found[:2, start : start + _BLOCK] = best & 0xFF, best >> _SHIFT
+            found[:2, block] = best & 0xFF, best >> _SHIFT
+            found[2, block] = False
             rows = np.flatnonzero(tied)
             if rows.size:
                 # _nearest left a tied image below 255, or at 0xFFFF for the
@@ -395,8 +457,8 @@ def _batched_min_stats(
                 shifted = shifted[rows]
                 packed = _gather(_add_fields(shifted, ~shifted >> 2), images.word_tables)
                 packed[untied] = 0xFFFF
-                best, found[2, start + rows] = _nearest(packed)
-                found[0, start + rows] = best & 0xFF
+                best, found[2, block[rows]] = _nearest(packed)
+                found[0, block[rows]] = best & 0xFF
         values[part], distances[part], ambiguous[part] = found[:, inverse]
     return values, distances, ambiguous
 
@@ -659,7 +721,8 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     one call of at most ``_SLICE`` windows. Every case is shifted by its
     own context and tallied from its own result; the kernel decodes a
     flipped image once for all four contexts, as they share its shift
-    into context 'A'.
+    into context 'A'. Up to two flips, every case the radius-2 table
+    leaves is in the kernel's near table, so no row is summed.
     """
     offsets = _flip_offsets(flips)
     images = candidate_images(codebook)

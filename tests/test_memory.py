@@ -56,9 +56,11 @@ def test_encode_file_holds_no_copy_of_its_payload(codebook):
 
 
 def test_candidate_images_build_is_small(codebook):
-    """The radius-2 table is built from a sort of 256 x 529 uint32 keys and
-    kept as 512 KiB: the build retains the table and the kernel's tables,
-    and peaks at a few copies of the sorted keys."""
+    """The radius-2 table and the near table are built from one sort of
+    256 x 529 uint32 keys. The radius-2 table is kept as 512 KiB, and the
+    near table, the keys it leaves within two substitutions of an image
+    with their answers, in at most 160 KiB: the build retains both and
+    the kernel's tables, and peaks at a few copies of the sorted keys."""
     tracemalloc.start()
     try:
         images = CandidateImages(codebook)
@@ -66,5 +68,6 @@ def test_candidate_images_build_is_small(codebook):
     finally:
         tracemalloc.stop()
     assert images.table.nbytes == 512 << 10
+    assert images.near_keys.nbytes + images.near_answers.nbytes <= 160 << 10
     assert retained <= 1.5 * (1 << 20), retained
     assert peak <= 3.5 * (1 << 20), peak

@@ -230,6 +230,43 @@ def test_lookup_table_matches_kernel_for_close_images(lexicode):
 
 
 @pytest.mark.parametrize("book", ["codebook", "lexicode"])
+def test_near_table_answers_the_windows_the_radius_table_leaves(book, request, monkeypatch):
+    """The near table holds exactly the shifted keys within two
+    substitutions of an image that lookup does not place, then one key
+    above all. On all 4 x 256 x 529 such windows the kernel answers as it
+    does with the table emptied, and as the scalar reference does on a
+    seeded sample of table hits, ambiguous ones among them."""
+    codebook = request.getfixturevalue(book)
+    images = candidate_images(codebook)
+    windows, contexts, _ = radius_two_windows(images)
+    keys = _window_keys(windows)
+    _, _, placed = images.lookup(keys, contexts)
+    shifted = _add_fields(keys, mldecode._NEGATIONS[contexts])
+    assert np.array_equal(images.near_keys[:-1], np.unique(shifted[~placed]))
+    assert images.near_keys[-1] == 4**11
+    if book == "codebook":
+        assert len(images.near_keys) - 1 == 22667
+        assert int((images.near_answers >> 10).sum()) == 673
+
+    got = _batched_min_stats(keys, contexts, images)
+    with monkeypatch.context() as patch:
+        patch.setattr(images, "near_keys", images.near_keys[-1:])
+        patch.setattr(images, "near_answers", images.near_answers[-1:])
+        summed = _batched_min_stats(keys, contexts, images)
+    assert all(map(np.array_equal, got, summed))
+
+    hits = np.isin(shifted, images.near_keys)
+    rng = random.Random(21)
+    sample = rng.sample(np.flatnonzero(hits).tolist(), 200)
+    sample += rng.sample(np.flatnonzero(hits & got[2]).tolist(), 50)
+    for row in sample:
+        decoded = decode_codeword_ml(codes_to_dna(windows[row]), "ACGT"[contexts[row]], codebook)
+        assert tuple(column[row] for column in got) == (
+            decoded.byte_value, decoded.dna_distance, decoded.ambiguous
+        )
+
+
+@pytest.mark.parametrize("book", ["codebook", "lexicode"])
 def test_kernel_matches_scalar_reference_on_flips(book, request):
     """Every 1- and 2-flip window of a seeded sample of codewords, in all
     four contexts: the kernel's byte, DNA distance and ambiguous flag are
@@ -353,24 +390,25 @@ def test_kernel_shares_each_distinct_shifted_key_across_slices(codebook):
 
 def test_audit_decodes_each_flipped_image_once(codebook, monkeypatch):
     """The audit sends the kernel only the cases the table cannot place,
-    each flipped image once for all four contexts: at most 1% of the
-    8,448 single-flip images, and at most a fifth of the 126,720
-    double-flip ones."""
-    images = candidate_images(codebook)
-    rows = []
+    each flipped image in all four contexts in one call, so that it is
+    decoded once: at most 1% of the 8,448 single-flip images, and at most
+    a fifth of the 126,720 double-flip ones. All of them are in the near
+    table, so the kernel sums no row."""
+    rows, summed = [], []
 
-    def counted(keys, tables, *buffers):
-        if tables is images.image_tables:
-            rows.append(len(keys))
-        return gather(keys, tables, *buffers)
+    def counted(keys, contexts, images):
+        rows.append(len(np.unique(_add_fields(keys, mldecode._NEGATIONS[contexts]))))
+        return kernel(keys, contexts, images)
 
-    gather = mldecode._gather
-    monkeypatch.setattr(mldecode, "_gather", counted)
+    kernel, gather = mldecode._batched_min_stats, mldecode._gather
+    monkeypatch.setattr(mldecode, "_batched_min_stats", counted)
+    monkeypatch.setattr(mldecode, "_gather", lambda *args: summed.append(args) or gather(*args))
     assert audit_substitutions(codebook, 1) == AuditResult(33792, 33792, 0, 0)
     assert sum(rows) <= 0.01 * 256 * 33
     rows.clear()
     assert audit_substitutions(codebook, 2) == AuditResult(506880, 497356, 5400, 4124)
-    assert sum(rows) <= 0.2 * 256 * 495
+    assert 0 < sum(rows) <= 0.2 * 256 * 495
+    assert not summed
 
 
 @pytest.mark.parametrize(
