@@ -64,7 +64,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.7.5"
+__version__ = "0.7.6"
 
 __all__ = [
     "AlphabetError",

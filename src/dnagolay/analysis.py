@@ -159,9 +159,9 @@ def corrupt_records(
     batch = ChunkBatch.of(records)
     starts = None
     if spec.mode == MODE_COUNT:
-        if (batch.payload_lengths % CODEWORD_LENGTH).any():
+        counts, rest = np.divmod(batch.payload_lengths, CODEWORD_LENGTH)
+        if (counts < 0).any() or rest.any():
             raise ValueError("count mode needs payloads of whole 11-base windows")
-        counts = batch.payload_lengths // CODEWORD_LENGTH
         ends = np.cumsum(counts)
         # window k starts 11 k bases after the first window of the stream,
         # shifted by where its record starts in codes

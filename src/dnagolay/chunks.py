@@ -20,8 +20,11 @@ back to back plus a few per-record columns. Encoding writes each
 codeword's image whole into the record rows; the decoder reads each
 record once as a row (:meth:`ChunkBatch.record_rows`). FASTA text is
 whole-record rows too: emit writes letters into them, and parse slices
-that layout before it reads lines. A :class:`ChunkRecord` is only built
-when a caller indexes or iterates it.
+that layout before it reads lines. Parsing judges syntax only: each
+record keeps its own length, all take the header width of the most
+common length, and the decoder sets aside a record whose payload is not
+whole windows. A :class:`ChunkRecord` is only built when a caller
+indexes or iterates it.
 """
 
 from __future__ import annotations
@@ -210,7 +213,9 @@ class ChunkBatch(_Columns):
 
     @property
     def lengths(self) -> np.ndarray:
-        return np.diff(self.ends, prepend=0)
+        lengths = self.ends.copy()  # np.diff(prepend=0) is about 10x slower on 116,510 ends
+        lengths[1:] -= self.ends[:-1]
+        return lengths
 
     @property
     def starts(self) -> np.ndarray:
@@ -219,6 +224,12 @@ class ChunkBatch(_Columns):
     @property
     def payload_lengths(self) -> np.ndarray:
         return self.lengths - self.header_widths
+
+    @property
+    def whole_windows(self) -> np.ndarray:
+        """Whether each record's payload is a positive multiple of 11 bases."""
+        payloads = self.payload_lengths
+        return (payloads > 0) & (payloads % CODEWORD_LENGTH == 0)
 
     def __len__(self) -> int:
         return len(self.ends)
@@ -270,23 +281,28 @@ class ChunkBatch(_Columns):
     def decoded_headers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Literal (no ECC) decode of every header: file ids, chunk
         indices and parity_ok flags as arrays. Headers of one width are
-        gathered a block at a time and decoded transposed, so that each
-        pass over a header column runs over contiguous memory.
+        gathered a block at a time as columns and decoded transposed, so
+        that each pass over a header column runs over contiguous memory.
 
         Unreadable positions (repeated bases) read as trit 0 and force
         parity_ok False, matching best-effort recovery of damaged headers.
+        A record shorter than its header has no header to read: every
+        position is unreadable, so it reads as file 0, chunk 0, parity False.
         """
         file_ids, indices = np.empty((2, len(self)), dtype=np.int64)
         parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
+        short = self.lengths < widths
         for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique loads numpy.ma
             ids = min(FILE_ID_TRITS, width - 1)
             records = np.flatnonzero(widths == width)
+            columns = np.arange(width)[:, None]
             for lo in range(0, len(records), _RECORD_BLOCK):
                 block = records[lo : lo + _RECORD_BLOCK]
-                headers = sliding_window_view(self.codes, width)[self.ends[block] - width]
-                trits = decode_rows(headers.T.copy().T, BASE_INDEX[DEFAULT_PREV_BASE]).T
+                headers = self.codes.take(columns + (self.ends[block] - width), mode="clip")
+                trits = decode_rows(headers.T, BASE_INDEX[DEFAULT_PREV_BASE]).T
                 unreadable = trits == 3
+                unreadable |= short[block]
                 trits[unreadable] = 0
                 file_ids[block], indices[block] = _horner(trits[:ids]), _horner(trits[ids:-1])
                 parity = trits[:-1:2].sum(axis=0, dtype=np.uint8) % 3
@@ -507,22 +523,22 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
     return str(text, "ascii")
 
 
-def _split_fasta(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Base codes of all records, concatenated, with each record's
-    length and the 1-based line number of its title.
+def _split_fasta(text: str) -> tuple[np.ndarray, np.ndarray]:
+    """Base codes of all records, concatenated, with each record's length.
 
     Text laid out as :func:`emit_fasta` writes it is read as rows
     (:func:`_split_layout`), any other by lines: lines end at newlines,
     carriage returns are dropped, blank lines are skipped and a line
     starting with '>' opens a record. If that fails, lines split as
-    :meth:`str.splitlines` does and stripped decide, errors included."""
+    :meth:`str.splitlines` does and stripped decide, errors included.
+    Only syntax is an error here; a record may have any positive length."""
     try:
         return _split_layout(text) or _split_lines(text)
     except FastaError:
         return _split_lines("\n".join(map(str.strip, text.splitlines())))
 
 
-def _split_layout(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+def _split_layout(text: str) -> tuple[np.ndarray, np.ndarray] | None:
     """:func:`_split_fasta` of text laid out as :func:`emit_fasta` writes it
     in encode order, else None. Records of one title width and length in a
     row are rows up to the first whose '>' or newlines are out of place, each
@@ -558,13 +574,11 @@ def _split_layout(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None
         if 255 in letters or np.count_nonzero(rows[:, 1 : title - 1] == _NEWLINE):
             return None
         memoryview(block)[:] = letters
-    # each record is its title line and one line per 80 bases
     counts, lengths = zip(*(run[1::3] for run in runs))
-    record_lines = np.repeat([1 - -length // FASTA_LINE_WIDTH for length in lengths], counts)
-    return codes, np.repeat(lengths, counts), np.cumsum(record_lines) - record_lines + 1
+    return codes, np.repeat(lengths, counts)
 
 
-def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
     """One reading of :func:`_split_fasta`, of the text encoded once, in
     two passes over blocks of about ``_TEXT_BLOCK`` bytes cut after
     newlines: one finds the lines, one writes the codes of the sequence
@@ -609,48 +623,32 @@ def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     empty = np.flatnonzero(lengths == 0)
     if empty.size:
         raise FastaError("record has no sequence data", int(titles[empty[0]]) + 1)
-    return codes, lengths, titles + 1
+    return codes, lengths
 
 
 def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch:
     """Parse FASTA text back into a batch of chunk records (headers
-    undecoded, so ids and indices unknown).
+    undecoded, so ids and indices unknown), every record as it is.
 
-    The chunk-index width mu is inferred from record lengths: full
-    records have ``chunk_bases`` payload bases, so mu = record length -
-    chunk_bases - 3. At most one record (the final, short chunk) may
-    deviate, and only downward. With no full record, the header is the
-    one of 4 to 14 bases that leaves whole 11-base windows.
+    Only syntax is an error (:class:`FastaError`): sequence data before a
+    title, a record with no sequence, a symbol that is not a base. Every
+    record gets the header width read from the most common record length,
+    the longest on a tie: a full record has ``chunk_bases`` payload bases,
+    so mu = that length - chunk_bases - 3; with no full record, the header
+    is the one of 4 to 14 bases that leaves whole 11-base windows. Whether
+    a record's payload is whole windows is for ``mldecode.decode_file`` to
+    judge.
     """
     _check_chunk_bases(chunk_bases)
     if not text or text.isspace():
         return ChunkBatch.of([])
-    codes, lengths, title_lines = _split_fasta(text)
-
-    longest = int(lengths.max())
-    short = np.flatnonzero(lengths != longest)
-    if len(short) > 1:
-        distinct = np.unique(lengths, return_counts=True)[0].tolist()  # counts: no numpy.ma
-        if len(distinct) > 2:
-            raise FastaError(f"inconsistent record lengths: {distinct}")
-        raise FastaError(
-            f"multiple records of non-full length {distinct[0]}; "
-            "only the final chunk may be short"
-        )
-    mu = longest - chunk_bases - FILE_ID_TRITS - 1
+    codes, lengths = _split_fasta(text)
+    distinct, counts = np.unique(lengths, return_counts=True)  # counts: no numpy.ma
+    common = int(distinct[len(counts) - 1 - counts[::-1].argmax()])
+    mu = common - chunk_bases - FILE_ID_TRITS - 1
     if mu < 1:  # no full record: the header width that leaves whole windows
-        mu = (longest - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
-    header_len = FILE_ID_TRITS + mu + 1
-    # the first record of each length stands for all records of that length
-    for first in sorted({int(lengths.argmax()), *short.tolist()}):
-        payload = int(lengths[first]) - header_len
-        if payload < CODEWORD_LENGTH or payload % CODEWORD_LENGTH:
-            raise FastaError(
-                f"record length {int(lengths[first])} leaves a payload of {payload} "
-                f"bases, not a positive multiple of {CODEWORD_LENGTH}",
-                int(title_lines[first]),
-            )
-    return ChunkBatch(codes, np.cumsum(lengths), np.full(len(lengths), header_len))
+        mu = (common - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
+    return ChunkBatch(codes, np.cumsum(lengths), np.full(len(lengths), FILE_ID_TRITS + mu + 1))
 
 
 def decode_header(record: ChunkRecord) -> tuple[int, int, bool]:

@@ -100,9 +100,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     codebook = _load_codebook(args.codebook)
-    records = parse_fasta(
-        Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases
-    )
+    records = parse_fasta(Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases)
     result = decode_file(records, codebook)
     out = Path(args.outfile)
     if not result.fully_recovered:
@@ -117,7 +115,11 @@ def _cmd_decode(args) -> int:
     )
     print(f"chunks: {len(result.per_chunk)}, substitutions corrected: {corrected}")
     if result.set_aside:
-        print(f"records set aside (chunk index already taken): {len(result.set_aside)}")
+        misfits = int(np.count_nonzero(~records.whole_windows))
+        print(
+            f"records set aside: {misfits} not whole 11-base windows, "
+            f"{len(result.set_aside) - misfits} chunk index taken or out of range"
+        )
     if result.fully_recovered:
         print(f"wrote {out}")
         return EXIT_OK
@@ -137,9 +139,7 @@ def _cmd_corrupt(args) -> int:
             spec = ChannelSpec.fixed_count(args.count, args.seed)
         else:
             spec = ChannelSpec.iid_rate(args.rate, args.seed)
-    records = parse_fasta(
-        Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases
-    )
+    records = parse_fasta(Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases)
     damaged = corrupt_records(records, spec)
     Path(args.outfile).write_text(emit_fasta(damaged), encoding="utf-8")
     flipped = np.flatnonzero(records.codes != damaged.codes)

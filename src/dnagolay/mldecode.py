@@ -544,14 +544,9 @@ def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`DecodeError` for a payload that is not a positive
     multiple of 11 bases.
     """
-    payload_lengths = batch.payload_lengths[order]
-    bad = np.flatnonzero((payload_lengths == 0) | (payload_lengths % CODEWORD_LENGTH != 0))
-    if bad.size:
-        raise DecodeError(
-            f"payload length {int(payload_lengths[bad[0]])} is not a positive "
-            f"multiple of {CODEWORD_LENGTH}"
-        )
-    counts = payload_lengths // CODEWORD_LENGTH
+    counts = batch.payload_lengths[order] // CODEWORD_LENGTH
+    if not batch.whole_windows[order].all():
+        raise DecodeError(f"a payload is not a positive multiple of {CODEWORD_LENGTH} bases")
     firsts = np.cumsum(counts) - counts
     keys = np.empty(int(counts.sum()), dtype=np.uint32)
     for places, rows, width in batch.record_rows(order):
@@ -621,32 +616,37 @@ def decode_file(
 ) -> DecodeResult:
     """Reassemble and decode a full file from chunk records.
 
-    Records may arrive in any order; indices come from the decoded
-    headers. Each index keeps one record: the first whose header passes
-    parity and names the majority file id, else its first record. The
-    others are listed in ``set_aside`` by input position. Missing chunks
-    are reported and stand in as zero bytes so later content keeps its
-    offsets.
+    Records may arrive in any order, of any lengths. Only those whose
+    payload is a positive multiple of 11 bases fit; they vote on the file
+    id, and their decoded headers give indices. An index is placed below
+    ``3**11`` or three times the records that fit, whichever is more, as
+    parity does not bound a wide header's index. Each index keeps one
+    record: the first whose header passes parity and names the majority
+    file id, else its first. All other records are listed in
+    ``set_aside`` by input position, ascending. Missing chunks are
+    reported and stand in as zero bytes so later content keeps its
+    offsets. Raises :class:`DecodeError` when no record fits.
     """
     batch = ChunkBatch.of(records)
-    if not len(batch):
-        raise DecodeError("no records to decode")
+    fits = batch.whole_windows
+    if not fits.any():
+        raise DecodeError(f"no record has a payload of whole {CODEWORD_LENGTH}-base windows")
     images = candidate_images(codebook)
 
     fid_arr, index_arr, parity_arr = batch.decoded_headers()
-    file_id = int(np.bincount(fid_arr).argmax())
-    # a stable sort by index, trusted headers first within an index
+    file_id = int(np.bincount(fid_arr[fits]).argmax())
+    limit = max(3 * int(np.count_nonzero(fits)), 3**11)  # 3**11 chunks: 1.6 MB
+    placeable = fits & (index_arr >= 0) & (index_arr < limit)
+    # a stable sort by index, trusted headers first within an index, of the placeable records
     order = np.lexsort((~(parity_arr & (fid_arr == file_id)), index_arr))
-    kept = np.concatenate(([True], np.diff(index_arr[order]) != 0))
-    set_aside = np.sort(order[~kept]).tolist()
-    order = order[kept]
+    order = order[placeable[order]]
+    order = order[np.diff(index_arr[order], prepend=-1) != 0]
+    set_aside = np.flatnonzero(np.bincount(order, minlength=len(batch)) == 0).tolist()
 
     present = index_arr[order]
     keys, counts = _payload_keys(batch, order)
     ends = np.cumsum(counts)
-    seen = np.zeros(int(present[-1]) + 1, dtype=bool)
-    seen[present] = True
-    missing = np.flatnonzero(~seen).tolist()
+    missing = np.flatnonzero(np.bincount(present) == 0).tolist()
 
     # each run of consecutive chunk indices (indices are at least 0, so
     # the first record starts one) is a stream of one decode; a run after
@@ -661,7 +661,7 @@ def decode_file(
     values, distances, ambiguous, _ = _decode_stream(keys, firsts, prev_codes, images)
 
     # missing chunks stand in as zero bytes so that later content keeps its offsets
-    placeholder = bytes(int(counts.max()))
+    placeholder = bytes(int(counts.max(initial=0)))
     gaps = np.diff(present[runs] - runs, prepend=0)  # the chunks missing before each run
     pieces = []
     for gap, lo, hi in zip(gaps.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(keys)]):

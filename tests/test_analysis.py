@@ -20,7 +20,7 @@ from dnagolay.analysis import (
     solve_capacity,
     synthesis_cost,
 )
-from dnagolay.chunks import ChunkError, ChunkRecord, FileDescriptor, encode_file
+from dnagolay.chunks import ChunkBatch, ChunkError, ChunkRecord, FileDescriptor, encode_file
 from dnagolay.mldecode import DecodeError, decode_file
 from dnagolay.transcode import codes_to_dna
 from hamming import hamming
@@ -157,7 +157,9 @@ def test_corrupt_records_count_mode_spares_headers(codebook):
     # payloads are joined, so one that is not whole windows would shift
     # every later window; it is rejected wherever it stands
     ragged = ChunkRecord(payload_dna=records[0].payload_dna[:-1], header_dna="ACG")
-    for batch in ([ragged, records[1]], [records[1], ragged]):
+    # the second record, 3 bases under a 14-base header, has a payload of -11 bases
+    shorter = ChunkBatch(np.zeros(116, dtype=np.uint8), [113, 116], [14, 14])
+    for batch in ([ragged, records[1]], [records[1], ragged], shorter):
         with pytest.raises(ValueError, match="whole 11-base windows"):
             corrupt_records(batch, spec)
 

@@ -23,7 +23,7 @@ from dnagolay.chunks import (
     mu_for_segments,
     parse_fasta,
 )
-from dnagolay.mldecode import decode_file
+from dnagolay.mldecode import DecodeError, decode_file
 from dnagolay.ternary import AlphabetError
 from dnagolay.transcode import BASE_INDEX, codes_to_dna, decode_rows, dna_codes, trits_to_dna
 from batches import mixed_batches
@@ -313,12 +313,19 @@ def test_fasta_accepts_crlf_and_stray_whitespace(codebook):
     assert [r.sequence for r in parse_fasta(padded)] == expect
 
 
-def test_fasta_error_on_short_payload_reports_line(codebook):
+def test_decode_sets_aside_a_record_with_a_short_payload(codebook):
+    """A record three bases short parses; decode_file sets it aside and
+    decodes the others."""
     records = encode_file(FileDescriptor(content=bytes(100), extension=""), codebook)
     seqs = [r.sequence for r in records]
     text = f">a\n{seqs[0]}\n>b\n{seqs[1]}\n>c\n{seqs[2][:-3]}\n"
-    with pytest.raises(FastaError, match="line 5: record length .* leaves a payload"):
-        parse_fasta(text)
+    parsed = parse_fasta(text)
+    assert parsed.lengths.tolist() == [len(seqs[0])] * 2 + [len(seqs[0]) - 3]
+    assert parsed.whole_windows.tolist() == [True, True, False]
+    result = decode_file(parsed, codebook)
+    assert result.set_aside == [2]
+    assert [rep.chunk_index for rep in result.per_chunk] == [0, 1]
+    assert result.content == bytes(18) and not result.trailer_ok
 
 
 def test_fasta_error_on_headerless_sequence():
@@ -336,22 +343,35 @@ def test_fasta_error_on_empty_record():
         parse_fasta(">f0_c0 len=0\n>f0_c1 len=4\nACGTACGTACGTACG\n")
 
 
-def test_fasta_error_on_inconsistent_lengths(codebook):
+def test_records_of_three_lengths_share_one_header_width(codebook):
+    """Three records of three lengths, each in whole windows: the longest
+    sets the header width (a tie of counts), and all three decode."""
     records = encode_file(FileDescriptor(content=bytes(100), extension=""), codebook)
     seqs = [r.sequence for r in records]
     text = (
         f">a\n{seqs[0]}\n>b\n{seqs[1][:-11]}\n>c\n{seqs[2][:-22]}\n"
     )
-    with pytest.raises(FastaError, match="inconsistent|non-full"):
-        parse_fasta(text)
+    parsed = parse_fasta(text)
+    assert parsed.header_widths.tolist() == [len(records[0].header_dna)] * 3
+    assert parsed.payload_lengths.tolist() == [99, 88, 77]
+    result = decode_file(parsed, codebook)
+    assert len(result.per_chunk) + len(result.set_aside) == 3
+    assert result.per_chunk[0].chunk_index == 0 and result.per_chunk[0].parity_ok
+    assert result.content[:9] == bytes(9)
 
 
-def test_fasta_error_on_two_short_records(codebook):
+def test_two_copies_of_a_short_record_keep_one(codebook):
+    """Two copies of a 26-base record outnumber one full record: they set
+    a 4-base header, under which the full record does not fit; one copy
+    is kept and the other is set aside with it."""
     full = encode_file(FileDescriptor(content=bytes(100), extension=""), codebook)
     short = full[0].sequence[:26]
     text = f">a\n{full[0].sequence}\n>b\n{short}\n>c\n{short}\n"
-    with pytest.raises(FastaError, match="final chunk"):
-        parse_fasta(text)
+    parsed = parse_fasta(text)
+    assert parsed.header_widths.tolist() == [4] * 3
+    assert parsed.whole_windows.tolist() == [False, True, True]
+    result = decode_file(parsed, codebook)
+    assert len(result.per_chunk) == 1 and result.set_aside == [0, 2]
 
 
 def test_fasta_mu_inference_single_short_record(codebook):
@@ -407,9 +427,36 @@ def test_fasta_written_at_a_smaller_chunk_size_parses_at_the_default(codebook, c
     assert result.fully_recovered and result.content == fd.content
 
 
-def test_fasta_error_names_the_line_of_a_record_too_short_for_any_payload():
-    with pytest.raises(FastaError, match="line 3: record length 12 leaves a payload of 8"):
-        parse_fasta(">a\nACGTACGTACGTACG\n>b\nACGTACGTACGT\n")
+def test_decode_error_when_no_record_has_a_payload(codebook):
+    """Records too short for any payload parse, and decode_file says
+    that none fits."""
+    parsed = parse_fasta(">a\nACGTACGTACG\n>b\nACGTACGTACGT\n")
+    assert parsed.lengths.tolist() == [11, 12] and parsed.header_widths.tolist() == [12, 12]
+    with pytest.raises(DecodeError, match="no record has a payload of whole 11-base windows"):
+        decode_file(parsed, codebook)
+
+
+@pytest.mark.parametrize("place", [0, 5])
+def test_a_record_shorter_than_its_header_reads_no_header(codebook, place):
+    """A 2-base record has no header to read: it reads as file 0, chunk
+    0 with parity False, not from the bases of the record before it (or,
+    first, from the end of the codes), and decode_file sets it aside."""
+    fd = FileDescriptor(np.random.default_rng(0).bytes(1000), extension="bin")
+    records = encode_file(fd, codebook)
+    titles = emit_fasta(records).split(">")[1:]
+    text = ">" + ">".join([*titles[:place], "short\nAC\n", *titles[place:]])
+    parsed = parse_fasta(text)
+    assert parsed.lengths[place] == 2 < parsed.header_widths[place]
+    file_ids, indices, parity_ok = parsed.decoded_headers()
+    assert (file_ids[place], indices[place], parity_ok[place]) == (0, 0, False)
+    assert np.delete(parity_ok, place).all()
+    assert f">f0_c0 len=2\nAC\n>f0_c{place} len=" in emit_fasta(parsed)
+    result = decode_file(parsed, codebook)
+    assert result.set_aside == [place] and result.content == fd.content
+    # codes shorter than the header width
+    assert [column.tolist() for column in parse_fasta(">a\nAC\n").decoded_headers()] == [
+        [0], [0], [False]
+    ]
 
 
 def test_fasta_wire_format_is_pinned(codebook):
@@ -572,14 +619,15 @@ def test_parse_blocks_cross_runs_of_records(codebook, monkeypatch, block):
     """Rows of one title width run from c0 to c9, c10 to c99 and c100 on,
     and the short last record is a run of its own; blocks of rows cut the
     runs anywhere. Out of encode order (shuffled, so that titles narrow, or
-    with a second short record) the line reader decides alone."""
+    with a second short record) the line reader decides alone, and every
+    text parses."""
     large = encode_file(FileDescriptor(content=bytes(3000), extension="x", file_id=2), codebook)
     order = np.random.default_rng(4).permutation(len(large))
     batches = [large, ChunkBatch.of([large[i] for i in order])]
     batches.append(ChunkBatch.of([*large[:20], large[-1], *large[20:30], large[-1]]))
     texts = [emit_fasta(batch) for batch in batches]
     expected = [reading(text) for text in texts]
-    assert "multiple records of non-full length" in expected[2][0]
+    assert expected[2] == columns(batches[2])[:3] + [[-1] * 32] * 2
     monkeypatch.setattr(chunks, "_RECORD_BLOCK", block)
     assert [chunks._split_layout(text) is not None for text in texts] == [True, False, False]
     assert [reading(text) for text in texts] == expected
@@ -659,25 +707,29 @@ def test_layout_reading_agrees_with_the_line_reader(codebook, monkeypatch, seed)
     assert chunks._split_layout(text) is not None
 
 
-def test_header_widths_and_length_errors_leave_numpy_ma_unloaded():
+def test_header_widths_and_record_lengths_leave_numpy_ma_unloaded():
     """np.unique with no return arrays imports numpy.ma on its first call,
-    in the middle of a bulk pass; decoded_headers on mixed header widths
-    and parse_fasta's length error use forms that do not."""
+    in the middle of a bulk pass; decoded_headers on mixed header widths,
+    parse_fasta's header width and decode_file on records that do not fit
+    use forms that do not."""
     code = """if True:
         import sys
         import numpy as np
         from dnagolay import load_default_codebook
-        from dnagolay.chunks import ChunkBatch, ChunkRecord, FastaError, FileDescriptor
+        from dnagolay.chunks import ChunkBatch, ChunkRecord, FileDescriptor
         from dnagolay.chunks import emit_fasta, encode_file, parse_fasta
-        from dnagolay.mldecode import decode_file
+        from dnagolay.mldecode import DecodeError, decode_file
         book = load_default_codebook()
         fd = FileDescriptor(np.random.default_rng(0).bytes(2000), "bin")
-        assert decode_file(parse_fasta(emit_fasta(encode_file(fd, book))), book).content == fd.content
+        text = emit_fasta(encode_file(fd, book))
+        assert decode_file(parse_fasta(text), book).content == fd.content
         mixed = ChunkBatch.of([ChunkRecord("ACGTACGTACG", "ACGT"), ChunkRecord("ACGTACGTACG", "ACGTA")])
         mixed.decoded_headers()
+        at = text.index("\\n", text.index(">f0_c4")) + 10  # a base of record 4's payload
+        print(decode_file(parse_fasta(text[:at] + text[at + 1 :]), book).set_aside)
         try:
-            parse_fasta(">a\\nACGT\\n>b\\nACG\\n>c\\nAC\\n")
-        except FastaError as exc:
+            decode_file(parse_fasta(">a\\nACGT\\n>b\\nACG\\n>c\\nAC\\n"), book)
+        except DecodeError as exc:
             print(exc)
         print("numpy.ma" in sys.modules)
     """
@@ -685,7 +737,9 @@ def test_header_widths_and_length_errors_leave_numpy_ma_unloaded():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == ["inconsistent record lengths: [2, 3, 4]", "False"]
+    assert out.stdout.splitlines() == [
+        "[4]", "no record has a payload of whole 11-base windows", "False"
+    ]
 
 
 def test_encode_blocks_write_the_same_codes(codebook, monkeypatch):

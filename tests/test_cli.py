@@ -222,8 +222,49 @@ def test_decode_sets_aside_a_conflicting_record(tmp_path, sample_file, capsys):
     argv = ["decode", "--in", str(noisy), "--out", str(restored), "--report", str(report)]
     assert run(argv) == 0
     assert restored.read_bytes() == sample_file.read_bytes()
-    assert "records set aside (chunk index already taken): 1" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "records set aside: 0 not whole 11-base windows, 1 chunk index taken" in out
     assert json.loads(report.read_text())["set_aside"] == [len(parse_fasta(text))]
+
+
+def _delete_a_payload_base(text, record):
+    """``text`` with the tenth base of record ``record``'s sequence deleted."""
+    at = text.index("\n", text.index(f"_c{record} ")) + 10
+    return text[:at] + text[at + 1 :]
+
+
+def test_decode_sets_aside_a_record_with_a_base_deleted(tmp_path, capsys):
+    source = tmp_path / "big.bin"
+    source.write_bytes(bytes(range(256)) * 2)
+    fasta = tmp_path / "full.fasta"
+    run(["encode", "--in", str(source), "--out", str(fasta)])
+    text = fasta.read_text()
+    # record 3 loses a base; a second copy of record 5 takes an index already taken
+    clone = text[text.index(">f0_c5 ") : text.index(">f0_c6 ")]
+    damaged = tmp_path / "damaged.fasta"
+    damaged.write_text(_delete_a_payload_base(text, 3) + clone)
+    restored = tmp_path / "restored.bin"
+    capsys.readouterr()
+    assert run(["decode", "--in", str(damaged), "--out", str(restored)]) == 1
+    out = capsys.readouterr().out
+    assert "records set aside: 1 not whole 11-base windows, 1 chunk index taken" in out
+    assert "missing chunk indices: [3] (1 missing)" in out
+    partial = (tmp_path / "restored.bin.partial").read_bytes()
+    assert not restored.exists() and len(partial) == 512
+    assert partial[:27] + partial[36:] == source.read_bytes()[:27] + source.read_bytes()[36:]
+
+
+def test_corrupt_count_mode_rejects_a_record_that_does_not_fit(tmp_path, sample_file, capsys):
+    fasta = tmp_path / "clean.fasta"
+    run(["encode", "--in", str(sample_file), "--out", str(fasta)])
+    damaged = tmp_path / "damaged.fasta"
+    damaged.write_text(_delete_a_payload_base(fasta.read_text(), 1))
+    capsys.readouterr()
+    argv = ["corrupt", "--in", str(damaged), "--out", str(tmp_path / "x.fasta"), "--count", "1"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err == "error: count mode needs payloads of whole 11-base windows\n"
+    assert not (tmp_path / "x.fasta").exists()
 
 
 def test_verify_code_reports_table_health(capsys):

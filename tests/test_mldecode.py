@@ -633,6 +633,85 @@ def test_decode_file_sets_aside_the_records_of_a_pooled_minority_file(codebook, 
     assert result.set_aside == list(range(offset, offset + len(minor_records)))
 
 
+def _edit_base(text, record, offset, insert):
+    """``text`` with the base ``offset`` bases into record ``record``'s
+    sequence deleted, or with an 'A' inserted before it."""
+    at = text.index("\n", text.index(f"_c{record} ")) + 1 + offset
+    return text[:at] + ("A" if insert else "") + text[at + (not insert) :]
+
+
+def test_decode_file_sets_aside_records_with_one_base_deleted_or_inserted(codebook):
+    """One base deleted from record 10 and one inserted into record 20:
+    both are set aside, their two chunks are missing, and every other
+    byte, the trailer included, comes back exact."""
+    fd = FileDescriptor(np.random.default_rng(22).bytes(1 << 16), extension="bin")
+    text = emit_fasta(encode_file(fd, codebook))
+    damaged = _edit_base(_edit_base(text, 10, 40, False), 20, 7, True)
+    parsed = parse_fasta(damaged)
+    result = decode_file(parsed, codebook)
+    assert result.set_aside == [10, 20] and result.unrecoverable_chunks == [10, 20]
+    assert result.trailer_ok and len(result.content) == len(fd.content)
+    got, want = (np.frombuffer(data, np.uint8) for data in (result.content, fd.content))
+    wrong = np.flatnonzero(got != want) // 9
+    assert set(wrong.tolist()) <= {10, 20}
+    assert len(result.per_chunk) == len(parsed) - 2
+
+
+def test_decode_file_of_a_pool_of_two_file_sizes(codebook):
+    """Files of 4,000 and 1,000 bytes have headers of two widths and full
+    records of two lengths. The larger file's length is the most common,
+    so it decodes exactly, and every record of the other is set aside."""
+    big = FileDescriptor(np.random.default_rng(1).bytes(4000), extension="a")
+    small = FileDescriptor(np.random.default_rng(2).bytes(1000), extension="b", file_id=1)
+    big_records, small_records = (encode_file(fd, codebook) for fd in (big, small))
+    assert big_records[0].mu != small_records[0].mu
+    result = decode_file(parse_fasta(emit_fasta(big_records) + emit_fasta(small_records)), codebook)
+    assert result.content == big.content and result.fully_recovered
+    assert result.set_aside == list(range(len(big_records), len(big_records) + len(small_records)))
+
+
+def test_decode_file_sets_aside_an_index_past_any_file(codebook):
+    """A lone 200-base record sets a 101-base header, whose index parity
+    does not bound: one at or past max(3**11, 3 x the records that fit),
+    or negative (wrapped past 2**63), is set aside, not placed."""
+    rng = np.random.default_rng(3)
+    batch = parse_fasta(">a\n" + codes_to_dna(rng.integers(0, 4, 200, dtype=np.uint8)) + "\n")
+    _, indices, _ = batch.decoded_headers()
+    assert batch.header_widths[0] == 101 and batch.whole_windows.all()
+    assert not 0 <= indices[0] < 3**11
+    result = decode_file(batch, codebook)
+    assert result.set_aside == [0] and len(result.per_chunk) == 0
+    assert (result.content, result.unrecoverable_chunks, result.trailer_ok) == (b"", [], False)
+
+
+# up to ten record lengths of 1 to 300 bases, drawn from up to three, so that lengths repeat
+record_lengths = st.lists(st.integers(1, 300), min_size=1, max_size=3).flatmap(
+    lambda lengths: st.lists(st.sampled_from(lengths), min_size=1, max_size=10)
+)
+
+
+@settings(deadline=None, max_examples=150)
+@given(record_lengths, st.integers(0, 2**32 - 1))
+def test_parse_and_decode_are_total(codebook, lengths, seed):
+    """Titled records of random bases and any lengths parse. decode_file
+    either accounts for every record, decoded or set aside, or raises
+    DecodeError, and only when no payload is a positive multiple of 11
+    bases."""
+    rng = np.random.default_rng(seed)
+    sequences = [codes_to_dna(rng.integers(0, 4, n, dtype=np.uint8)) for n in lengths]
+    batch = parse_fasta("".join(f">r{i}\n{seq}\n" for i, seq in enumerate(sequences)))
+    assert batch.lengths.tolist() == lengths
+    payloads = batch.lengths - batch.header_widths
+    fits = ((payloads > 0) & (payloads % 11 == 0)).any()
+    try:
+        result = decode_file(batch, codebook)
+    except DecodeError:
+        assert not fits
+        return
+    assert fits
+    assert len(result.per_chunk) + len(result.set_aside) == len(batch)
+
+
 def test_decode_file_reports_gap_and_keeps_offsets(codebook):
     fd = FileDescriptor(content=bytes(range(120)), extension="bin")
     records = encode_file(fd, codebook)
