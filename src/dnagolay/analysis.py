@@ -56,8 +56,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.mode not in (MODE_COUNT, MODE_RATE):
             raise ValueError(f"unknown channel mode {self.mode!r}")
-        if self.count < 0:
-            raise ValueError("substitution count must be >= 0")
+        if not 0 <= self.count <= CODEWORD_LENGTH:  # no window is longer
+            raise ValueError(f"substitution count must be in [0, {CODEWORD_LENGTH}]")
         if not 0.0 <= self.rate <= 1.0:
             raise ValueError("substitution rate must be in [0, 1]")
 

@@ -62,6 +62,7 @@ _ORD_ZERO = ord("0")
 _NEWLINE = ord("\n")
 _TITLE = ord(">")
 _UNKNOWN = -1
+_MAX_HEADER_WIDTH = FILE_ID_TRITS + 39 + 1  # 3**39 < 2**63 < 3**40: index trits an int64 holds
 # bulk passes work in blocks, so their temporaries do not grow with the file
 _TEXT_BLOCK = 1 << 18  # characters of FASTA text per block of the line reader
 _RECORD_BLOCK = 4096  # records per block of FASTA rows, records built or window keys
@@ -288,12 +289,17 @@ class ChunkBatch(_Columns):
         parity_ok False, matching best-effort recovery of damaged headers.
         A record shorter than its header has no header to read: every
         position is unreadable, so it reads as file 0, chunk 0, parity False.
+        A header wider than ``_MAX_HEADER_WIDTH`` is not read, as its index
+        would overflow int64: it reads as file 0, chunk -1, parity False.
         """
         file_ids, indices = np.empty((2, len(self)), dtype=np.int64)
         parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
         short = self.lengths < widths
-        for width in np.flatnonzero(np.bincount(widths)).tolist():  # np.unique loads numpy.ma
+        wide = widths > _MAX_HEADER_WIDTH
+        file_ids[wide], indices[wide], parity_ok[wide] = 0, -1, False
+        # the widths by np.bincount, as np.unique loads numpy.ma
+        for width in np.flatnonzero(np.bincount(widths[~wide])).tolist():
             ids = min(FILE_ID_TRITS, width - 1)
             records = np.flatnonzero(widths == width)
             columns = np.arange(width)[:, None]

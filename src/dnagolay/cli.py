@@ -76,7 +76,8 @@ def _cmd_encode(args) -> int:
     if extension is None:
         extension = Path(args.infile).suffix.lstrip(".")
     codebook = _load_codebook(args.codebook)
-    fd = FileDescriptor(content=data, extension=extension, file_id=args.file_id)
+    with _usage_errors():
+        fd = FileDescriptor(content=data, extension=extension, file_id=args.file_id)
     records = encode_file(fd, codebook, args.chunk_bases)
     Path(args.outfile).write_text(emit_fasta(records), encoding="utf-8")
     total_bases = len(records.codes)

@@ -24,13 +24,14 @@ table does not place, sorted, each with its ML answer. All other windows
 go to the kernel, :func:`_batched_min_stats`, which serves streams,
 chunks and the audit; :func:`decode_codeword_ml` is its scalar
 reference. The kernel answers every key in the near table by one sorted
-search, and sums for each farther key one uint16 table row per key byte
-into ``distance << 9 | index`` for all 256 images: one row minimum gives
-the distance and the nearest image, and a second one any tie. Both
-layers read only the shifted key, so the kernel decodes each distinct
-shifted key of a slice once; the audit gives it each block of codewords
-in all four contexts in one call, so a flipped image is decoded once for
-the four.
+search. Its row path, :func:`_row_decode`, sums for each farther key one
+uint16 table row per key byte into ``distance << 9 | index`` for all 256
+images: one row minimum gives the distance and the nearest image, and a
+second one any tie, which the trit layer breaks the same way. It also
+answers the near table's ties, once at build. Both layers read only the
+shifted key, so the kernel decodes each distinct shifted key of a slice
+once; the audit gives it each block of codewords in all four contexts in
+one call, so a flipped image is decoded once for the four.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -260,7 +261,7 @@ def _flip_offsets(flips: int) -> np.ndarray:
     return offsets
 
 
-def _radius_tables(image_keys: np.ndarray, word_keys: np.ndarray) -> tuple[np.ndarray, ...]:
+def _radius_tables(image_keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """The radius-2 table of ``image_keys`` and the near table of the keys
     within two substitutions of an image that it does not place, both
     from one sort of every such key.
@@ -268,9 +269,9 @@ def _radius_tables(image_keys: np.ndarray, word_keys: np.ndarray) -> tuple[np.nd
     Under the last nine bases of a key, the radius-2 table holds
     ``radius << 8 | image``, such that every key within ``radius``
     substitutions of the image decodes to it alone. The near table is
-    those other keys, sorted, and the kernel's answer for each, ``value |
-    distance << 8 | ambiguous << 10``: a tie on DNA distance is broken by
-    the trit distance to ``word_keys``, the codewords packed as keys."""
+    those other keys, sorted, each with its nearest image and distance,
+    ``image | distance << 8``, and the places in it of the keys that tie
+    on DNA distance, whose answer the trit layer gives."""
     offsets = [_flip_offsets(flips) for flips in range(3)]
     entries = _add_fields(image_keys[:, None], np.concatenate(offsets)) << 10
     entries |= np.repeat(np.arange(3, dtype=np.uint32), list(map(len, offsets))) << 8
@@ -283,9 +284,6 @@ def _radius_tables(image_keys: np.ndarray, word_keys: np.ndarray) -> tuple[np.nd
     tied = np.append(step == 0, False)
     del step
     others = np.flatnonzero(~first | tied)  # every entry but a unique nearest image
-    # the places in others of the tied keys' first entries, and of the entries the next ties
-    heads, links = np.flatnonzero(first[others]), tied[others]
-    del tied
     slots, near = entries >> 10 & _INDEX, (entries & 0x3FF).astype(np.uint16)
     # a slot names the image of its nearest uniquely decoded key, the lowest on a tie
     table = np.full(_INDEX + 1, 3 << 8, dtype=np.uint16)
@@ -307,40 +305,24 @@ def _radius_tables(image_keys: np.ndarray, word_keys: np.ndarray) -> tuple[np.nd
     del slot_entries, placed
     # a last key above every window key ends every search inside the table
     near_keys = np.append(entries[rest] >> 10, np.uint32(4**CODEWORD_LENGTH))
-    answers = np.append(near[rest], np.uint16(0))
-    # a tied key's nearest images are its first entry and each entry that ties the one
-    # before, all in others; the trit layer keeps the lowest of those nearest to the key's
-    # trit reading, and flags a tie
-    sizes = np.ones_like(heads)
-    more = links[heads]
-    while more.any():
-        sizes += more
-        more = links[heads + sizes - 1]
-    starts = np.cumsum(sizes) - sizes
-    members = others[np.repeat(heads - starts, sizes) + np.arange(sizes.sum())]
-    keys, images = entries[members] >> 10, near[members] & 0xFF
-    readings = _add_fields(keys, ~keys >> 2)
-    trits = _BYTE_MISMATCHES[_key_bytes(readings ^ word_keys[images])].sum(axis=0, dtype=np.uint16)
-    best = np.minimum.reduceat(trits << 8 | images, starts)
-    finalists = np.add.reduceat(trits == np.repeat(best >> 8, sizes), starts)
-    ties = np.searchsorted(rest, others[heads])
-    answers[ties] = answers[ties] & 0x300 | best & 0xFF | (finalists > 1) << 10
-    return table, near_keys, answers
+    return table, near_keys, np.append(near[rest], np.uint16(0)), np.flatnonzero(tied[rest])
 
 
 class CandidateImages:
     """The codeword trits and the keys of their DNA images in context
     'A', cached per codebook, with the kernel's packed tables of both and
     the :func:`_radius_tables` of the image keys: ``table`` for
-    :meth:`lookup`, and ``near_keys`` with ``near_answers`` for the kernel."""
+    :meth:`lookup`, and ``near_keys`` with ``near_answers`` for the kernel,
+    whose row path answers the near keys tied on DNA distance at build."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
         self.image_keys = _row_keys(encode_rows(self.words, 0), 1)[:, 0]
-        word_keys = _row_keys(self.words, 1)[:, 0]
-        self.table, self.near_keys, self.near_answers = _radius_tables(self.image_keys, word_keys)
+        self.table, self.near_keys, self.near_answers, ties = _radius_tables(self.image_keys)
         self.image_tables = _packed_tables(self.image_keys)
-        self.word_tables = _packed_tables(word_keys)
+        self.word_tables = _packed_tables(_row_keys(self.words, 1)[:, 0])
+        found = _row_decode(self.near_keys[ties], self)
+        self.near_answers[ties] = np.bitwise_or.reduce(found << _ANSWER_SHIFTS, axis=0)
 
     def lookup(self, keys: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
         """Table decode of packed windows received after ``contexts``:
@@ -406,6 +388,38 @@ def decode_codeword_ml(
     )
 
 
+def _row_decode(keys: np.ndarray, images: CandidateImages) -> np.ndarray:
+    """The kernel's row path: two-layer ML decode of window keys shifted
+    into context 'A', as a (3, keys) uint8 array of byte values, DNA
+    distances and ambiguous flags. Keys go ``_BLOCK`` at a time; a block
+    sums its packed distances to all images from the image tables, and
+    :func:`_nearest` reads the distance, the lowest-index nearest image
+    and a tie flag from them. Only the tied keys take the trit layer, in
+    the same buffers: the same search over the word tables, with untied
+    images set to 0xFFFF."""
+    found = np.zeros((3, len(keys)), dtype=np.uint8)
+    buffers = np.empty((2, min(len(keys), _BLOCK), CODE_SIZE), dtype=np.uint16)
+    for lo in range(0, len(keys), _BLOCK):
+        shifted = keys[lo : lo + _BLOCK]
+        packed = _gather(shifted, images.image_tables, *buffers[:, : len(shifted)])
+        best, tied = _nearest(packed)
+        found[:2, lo : lo + _BLOCK] = best & 0xFF, best >> _SHIFT
+        rows = np.flatnonzero(tied)
+        if rows.size:
+            # _nearest left a tied image below 255, or at 0xFFFF for the
+            # nearest; the trit reading adds to each base the complement
+            # of its predecessor ('A' before the first), so a repeated
+            # base reads 3, which matches no trit
+            untied = packed[rows] + 1 >= CODE_SIZE
+            shifted = shifted[rows]
+            readings = _add_fields(shifted, ~shifted >> 2)
+            packed = _gather(readings, images.word_tables, *buffers[:, : len(rows)])
+            packed[untied] = 0xFFFF
+            best, found[2, lo + rows] = _nearest(packed)
+            found[0, lo + rows] = best & 0xFF
+    return found
+
+
 def _batched_min_stats(
     keys: np.ndarray, contexts: np.ndarray | int, images: CandidateImages
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,19 +431,13 @@ def _batched_min_stats(
     only the shifted key, so its result is scattered back to every key
     that shares it. One sorted search of the near table answers every
     distinct key within two substitutions of an image that the radius-2
-    table does not place. The others, in blocks, sum their packed
-    distances to all images from the image tables; :func:`_nearest`
-    reads the distance, the lowest-index nearest image and a tie flag
-    from them. Only the tied keys take the trit layer, inside the same
-    block: the same search over the word tables, with untied images set
-    to 0xFFFF.
+    table does not place; :func:`_row_decode` answers the others.
     """
     n = len(keys)
     contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
     values = np.empty(n, dtype=np.uint8)
     distances = np.empty(n, dtype=np.uint8)
     ambiguous = np.empty(n, dtype=bool)
-    buffers = np.empty((2, min(n, _BLOCK), CODE_SIZE), dtype=np.uint16)
     for lo in range(0, n, _SLICE):
         part = slice(lo, lo + _SLICE)
         distinct, inverse = np.unique(
@@ -440,25 +448,7 @@ def _batched_min_stats(
         found = (images.near_answers[at] >> _ANSWER_SHIFTS).astype(np.uint8)
         found[1] &= 3
         far = np.flatnonzero(images.near_keys[at] != distinct)
-        for start in range(0, len(far), _BLOCK):
-            block = far[start : start + _BLOCK]
-            shifted = distinct[block]
-            packed = _gather(shifted, images.image_tables, *buffers[:, : len(block)])
-            best, tied = _nearest(packed)
-            found[:2, block] = best & 0xFF, best >> _SHIFT
-            found[2, block] = False
-            rows = np.flatnonzero(tied)
-            if rows.size:
-                # _nearest left a tied image below 255, or at 0xFFFF for the
-                # nearest; the trit reading adds to each base the complement
-                # of its predecessor ('A' before the first), so a repeated
-                # base reads 3, which matches no trit
-                untied = packed[rows] + 1 >= CODE_SIZE
-                shifted = shifted[rows]
-                packed = _gather(_add_fields(shifted, ~shifted >> 2), images.word_tables)
-                packed[untied] = 0xFFFF
-                best, found[2, block[rows]] = _nearest(packed)
-                found[0, block[rows]] = best & 0xFF
+        found[:, far] = _row_decode(distinct[far], images)
         values[part], distances[part], ambiguous[part] = found[:, inverse]
     return values, distances, ambiguous
 

@@ -459,6 +459,24 @@ def test_a_record_shorter_than_its_header_reads_no_header(codebook, place):
     ]
 
 
+def test_a_header_too_wide_for_int64_is_not_read(codebook, monkeypatch):
+    """A 42-base header holds a 39-trit index, the most an int64 holds,
+    and is read. A wider one is neither gathered nor walked: the header
+    of one 2,000,000-base record reads as file 0, chunk -1, parity False,
+    and decode_file sets the record aside."""
+    walked = []
+    horner = chunks._horner
+    monkeypatch.setattr(chunks, "_horner", lambda trits: walked.append(len(trits)) or horner(trits))
+    bases = "ACGT" * 500_000
+    _, [index], _ = parse_fasta(f">a\n{bases[:53]}\n", chunk_bases=11).decoded_headers()
+    assert walked == [2, 39] and 0 <= index < 3**39
+    batch = parse_fasta(f">a\n{bases}\n")
+    assert [column.tolist() for column in batch.decoded_headers()] == [[0], [-1], [False]]
+    result = decode_file(batch, codebook)
+    assert result.set_aside == [0] and result.content == b""
+    assert walked == [2, 39]
+
+
 def test_fasta_wire_format_is_pinned(codebook):
     # round trips cannot see a change made the same way on both sides;
     # this digest pins the exact FASTA bytes: 24 chunks, mu = 3, and a
@@ -765,16 +783,18 @@ def literal_header_trits(file_id, index, mu):
 
 
 def base3(digits):
-    """``digits`` in base 3, wrapped to a signed 64-bit integer."""
-    value = sum(d * 3**p for p, d in enumerate(reversed(digits))) % 2**64
-    return value - 2**64 * (value >= 2**63)
+    """``digits`` in base 3."""
+    return sum(d * 3**p for p, d in enumerate(reversed(digits)))
 
 
 def literal_header_reading(header_dna):
     """(file id, index, parity ok) of a header read by definition: of
     the trits before the parity trit, the first two give the file id and
     the rest the index, each in base 3; a repeated base reads 0 and fails
-    parity."""
+    parity. A header of more than 42 bases, whose index of more than 39
+    trits int64 cannot hold, is not read: (0, -1, False)."""
+    if len(header_dna) > 42:
+        return 0, -1, False
     trits = read_trits(header_dna)
     digits = [int(t) % 3 for t in trits]
     ok = "3" not in trits and sum(digits[:-1:2]) % 3 == digits[-1]
@@ -785,7 +805,7 @@ def test_decoded_headers_of_tiny_and_wide_headers():
     rng = np.random.default_rng(5)
     headers = [
         trits_to_dna("".join(map(str, rng.integers(0, 3, width))), "A")
-        for width in (1, 2, 3, 40, 41, 42, 90)
+        for width in (1, 2, 3, 40, 41, 42, 43, 90)
         for _ in range(3)
     ]
     headers += ["AA", "CCTA"]

@@ -355,6 +355,30 @@ def test_malformed_arguments_are_usage_errors(tmp_path, sample_file, argv):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", "--in", "{sample}", "--grid", "count:12", "--csv", "{out}"], "[0, 11]"),
+        (["corrupt", "--in", "{fasta}", "--out", "{out}", "--count", "12"], "[0, 11]"),
+        (["encode", "--in", "{sample}", "--out", "{out}", "--extension", "a;b"], "';'"),
+    ],
+    ids=["simulate", "corrupt", "encode"],
+)
+def test_argument_errors_exit_2_before_any_output(tmp_path, sample_file, capsys, argv, message):
+    """A count no window can take and an extension that holds a separator
+    are usage errors (exit 2), not degraded decodes (exit 1): each is
+    caught before any encoding, and no output file is written."""
+    fasta = tmp_path / "clean.fasta"
+    run(["encode", "--in", str(sample_file), "--out", str(fasta)])
+    capsys.readouterr()
+    paths = {"fasta": fasta, "out": tmp_path / "out", "sample": sample_file}
+    with pytest.raises(SystemExit) as err:
+        run([arg.format_map(paths) for arg in argv])
+    assert err.value.code == 2
+    assert message in capsys.readouterr().err.splitlines()[-1]
+    assert not (tmp_path / "out").exists()
+
+
 def test_cost_curve_command(tmp_path, capsys):
     csv_path = tmp_path / "cost.csv"
     assert run(["cost-curve", "--sizes", "1000,1000000", "--csv", str(csv_path)]) == 0

@@ -60,7 +60,8 @@ def test_candidate_images_build_is_small(codebook):
     256 x 529 uint32 keys. The radius-2 table is kept as 512 KiB, and the
     near table, the keys it leaves within two substitutions of an image
     with their answers, in at most 160 KiB: the build retains both and
-    the kernel's tables, and peaks at a few copies of the sorted keys."""
+    the kernel's tables, and peaks at a few copies of the sorted keys or
+    while the kernel's row path answers the near table's tied keys."""
     tracemalloc.start()
     try:
         images = CandidateImages(codebook)

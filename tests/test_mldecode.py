@@ -235,7 +235,11 @@ def test_near_table_answers_the_windows_the_radius_table_leaves(book, request, m
     substitutions of an image that lookup does not place, then one key
     above all. On all 4 x 256 x 529 such windows the kernel answers as it
     does with the table emptied, and as the scalar reference does on a
-    seeded sample of table hits, ambiguous ones among them."""
+    seeded sample of table hits, ambiguous ones among them. The tied
+    keys' answers come from the kernel's row path, as the emptied table's
+    do, so they are checked against the scalar reference in context 'A'
+    apart: all 1,533 of the shipped codebook, and a seeded 1,000 of the
+    lexicode's."""
     codebook = request.getfixturevalue(book)
     images = candidate_images(codebook)
     windows, contexts, _ = radius_two_windows(images)
@@ -262,6 +266,22 @@ def test_near_table_answers_the_windows_the_radius_table_leaves(book, request, m
     for row in sample:
         decoded = decode_codeword_ml(codes_to_dna(windows[row]), "ACGT"[contexts[row]], codebook)
         assert tuple(column[row] for column in got) == (
+            decoded.byte_value, decoded.dna_distance, decoded.ambiguous
+        )
+
+    near, image_rows = key_rows(images.near_keys[:-1]), key_rows(images.image_keys)
+    distances = np.zeros((len(near), len(image_rows)), dtype=np.uint8)
+    for col in range(11):
+        distances += near[:, col, None] != image_rows[:, col]
+    tied = np.flatnonzero((distances == distances.min(axis=1)[:, None]).sum(axis=1) > 1)
+    if book == "codebook":
+        assert len(tied) == 1533
+    else:
+        tied = random.Random(23).sample(tied.tolist(), 1000)
+    for row in tied:
+        answer = int(images.near_answers[row])
+        decoded = decode_codeword_ml(codes_to_dna(near[row]), "A", codebook)
+        assert (answer & 0xFF, answer >> 8 & 3, answer >> 10) == (
             decoded.byte_value, decoded.dna_distance, decoded.ambiguous
         )
 
