@@ -21,8 +21,8 @@ codeword's image whole into the record rows; the decoder reads each
 record once as a row (:meth:`ChunkBatch.record_rows`). FASTA text is
 whole-record rows too: emit writes letters into them, and parse slices
 that layout before it reads lines. Parsing judges syntax only: each
-record keeps its own length, all take the header width of the most
-common length, and the decoder sets aside a record whose payload is not
+record keeps its own length, all take the header width their lengths
+and number imply, and the decoder sets aside a record whose payload is not
 whole windows. A :class:`ChunkRecord` is only built when a caller
 indexes or iterates it.
 """
@@ -445,27 +445,31 @@ _POWERS_OF_TEN = 10 ** np.arange(1, 19)
 
 
 def _digit_counts(values: np.ndarray) -> np.ndarray:
-    """Number of decimal digits of each non-negative integer."""
-    return 1 + np.searchsorted(_POWERS_OF_TEN, values, side="right")
+    """Number of characters of each integer in decimal, a minus sign included."""
+    counts = 1 + np.searchsorted(_POWERS_OF_TEN, values, side="right")
+    negative = values < 0  # np.abs of every value would cost 1.6 ms of a 1 MiB emit
+    counts[negative] = 2 + np.searchsorted(_POWERS_OF_TEN, -values[negative], side="right")
+    return counts
 
 
 def _put_decimal(values: np.ndarray, out: np.ndarray):
-    """Write non-negative integers as ASCII decimal digits, one per row
-    of ``out``, whose width is their digit count."""
+    """Write integers in ASCII decimal, one per row of ``out``, whose
+    width is their :func:`_digit_counts`."""
+    negative, values = values < 0, np.abs(values)
     for col in range(out.shape[1] - 1, -1, -1):
         # one floor division per column, as in _header_rows
         quotient = values // 10
         out[:, col] = values - quotient * 10 + _ORD_ZERO
         values = quotient
+    out[negative, 0] = ord("-")
 
 
-def _fasta_rows(file_ids: np.ndarray, indices: np.ndarray, codes: np.ndarray, out: np.ndarray):
-    """Write the FASTA text of records alike in id, index and length digits
-    into the rows of ``out``: the ``>f<id>_c<index> len=<bases>`` title, then
-    the letters of ``codes`` with a newline after every 80 and at the end."""
+def _fasta_rows(file_ids, indices, digits: tuple[int, int], codes: np.ndarray, out: np.ndarray):
+    """Write the FASTA text of records alike in length and in ``digits`` (of id
+    and index) into the rows of ``out``: the ``>f<id>_c<index> len=<bases>``
+    title, then the letters of ``codes`` with a newline after every 80 and at the end."""
     length = codes.shape[1]
-    id_end = 2 + int(_digit_counts(file_ids[:1])[0])
-    index_end = id_end + 2 + int(_digit_counts(indices[:1])[0])
+    id_end, index_end = 2 + digits[0], 4 + digits[0] + digits[1]
     template = f">f{'0' * (id_end - 2)}_c{'0' * (index_end - id_end - 2)} len={length}\n"
     title = len(template)
     out[:, :title] = np.frombuffer(template.encode("ascii"), dtype=np.uint8)
@@ -517,14 +521,15 @@ def emit_fasta(records: Sequence[ChunkRecord]) -> str:
     cuts.update((np.flatnonzero(np.diff(groups[order])) + 1).tolist())
     for rows in np.split(order, sorted(cuts)):
         first, count, length, size = rows[0], len(rows), lengths[rows[0]], sizes[rows[0]]
+        digits = int(id_digits[first]), int(index_digits[first])
         if rows[-1] - first == count - 1:  # back to back (a stable sort keeps rows ascending)
             codes = batch.codes[starts[first] : starts[first] + count * length]
             place = text[offsets[first] : offsets[first] + count * size].reshape(count, size)
-            _fasta_rows(file_ids[rows], indices[rows], codes.reshape(count, length), place)
+            _fasta_rows(file_ids[rows], indices[rows], digits, codes.reshape(count, length), place)
         else:
             place = np.empty((count, size), dtype=np.uint8)
             codes = sliding_window_view(batch.codes, length)[starts[rows]]
-            _fasta_rows(file_ids[rows], indices[rows], codes, place)
+            _fasta_rows(file_ids[rows], indices[rows], digits, codes, place)
             sliding_window_view(text, size, writeable=True)[offsets[rows]] = place
     return str(text, "ascii")
 
@@ -632,28 +637,27 @@ def _split_lines(text: str) -> tuple[np.ndarray, np.ndarray]:
     return codes, lengths
 
 
-def parse_fasta(text: str, chunk_bases: int = DEFAULT_CHUNK_BASES) -> ChunkBatch:
+def parse_fasta(text: str) -> ChunkBatch:
     """Parse FASTA text back into a batch of chunk records (headers
     undecoded, so ids and indices unknown), every record as it is.
 
     Only syntax is an error (:class:`FastaError`): sequence data before a
     title, a record with no sequence, a symbol that is not a base. Every
-    record gets the header width read from the most common record length,
-    the longest on a tie: a full record has ``chunk_bases`` payload bases,
-    so mu = that length - chunk_bases - 3; with no full record, the header
-    is the one of 4 to 14 bases that leaves whole 11-base windows. Whether
-    a record's payload is whole windows is for ``mldecode.decode_file`` to
-    judge.
+    record gets one header width, 3 + mu, from the records themselves. A
+    payload is whole 11-base windows, so the most common record length
+    (the longest on a tie) fixes mu modulo 11: mu is one of m, m + 11,
+    ..., with m = (length - 4) mod 11 + 1, and of these the one nearest
+    ``mu_for_segments(records parsed)``, the width the encoder gives a
+    file of that many chunks. Whether a record's payload is whole windows
+    is for ``mldecode.decode_file`` to judge.
     """
-    _check_chunk_bases(chunk_bases)
     if not text or text.isspace():
         return ChunkBatch.of([])
     codes, lengths = _split_fasta(text)
     distinct, counts = np.unique(lengths, return_counts=True)  # counts: no numpy.ma
     common = int(distinct[len(counts) - 1 - counts[::-1].argmax()])
-    mu = common - chunk_bases - FILE_ID_TRITS - 1
-    if mu < 1:  # no full record: the header width that leaves whole windows
-        mu = (common - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
+    mu = (common - FILE_ID_TRITS - 2) % CODEWORD_LENGTH + 1
+    mu += max(0, round((mu_for_segments(len(lengths)) - mu) / CODEWORD_LENGTH)) * CODEWORD_LENGTH
     return ChunkBatch(codes, np.cumsum(lengths), np.full(len(lengths), FILE_ID_TRITS + mu + 1))
 
 

@@ -101,7 +101,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_decode(args) -> int:
     codebook = _load_codebook(args.codebook)
-    records = parse_fasta(Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases)
+    records = parse_fasta(Path(args.infile).read_text(encoding="utf-8"))
     result = decode_file(records, codebook)
     out = Path(args.outfile)
     if not result.fully_recovered:
@@ -133,14 +133,12 @@ def _cmd_decode(args) -> int:
 
 
 def _cmd_corrupt(args) -> int:
-    if (args.count is None) == (args.rate is None):
-        raise UsageError("exactly one of --count or --rate is required")
     with _usage_errors():
         if args.count is not None:
             spec = ChannelSpec.fixed_count(args.count, args.seed)
         else:
             spec = ChannelSpec.iid_rate(args.rate, args.seed)
-    records = parse_fasta(Path(args.infile).read_text(encoding="utf-8"), args.chunk_bases)
+    records = parse_fasta(Path(args.infile).read_text(encoding="utf-8"))
     damaged = corrupt_records(records, spec)
     Path(args.outfile).write_text(emit_fasta(damaged), encoding="utf-8")
     flipped = np.flatnonzero(records.codes != damaged.codes)
@@ -227,12 +225,8 @@ def _cmd_capacity(args) -> int:
 def _cmd_simulate(args) -> int:
     codebook = _load_codebook(args.codebook)
     data = Path(args.infile).read_bytes()
-    fd = FileDescriptor(
-        content=data,
-        extension=Path(args.infile).suffix.lstrip("."),
-        file_id=args.file_id,
-    )
     with _usage_errors():
+        fd = FileDescriptor(data, Path(args.infile).suffix.lstrip("."), args.file_id)
         grid = [ChannelSpec.parse(item, args.seed) for item in args.grid.split(";")]
     rows = monte_carlo_decode(fd, codebook, grid, args.trials, args.chunk_bases)
     header = (
@@ -312,17 +306,16 @@ def build_parser() -> argparse.ArgumentParser:
     dec.add_argument("--in", dest="infile", required=True)
     dec.add_argument("--out", dest="outfile", required=True)
     dec.add_argument("--report", default=None)
-    _add_chunk_flag(dec)
     _add_codebook_flag(dec)
     dec.set_defaults(func=_cmd_decode)
 
     cor = sub.add_parser("corrupt", help="apply a substitution channel to FASTA")
     cor.add_argument("--in", dest="infile", required=True)
     cor.add_argument("--out", dest="outfile", required=True)
-    cor.add_argument("--count", type=int, default=None, help="flips per codeword window")
-    cor.add_argument("--rate", type=float, default=None, help="per-base flip probability")
+    channel = cor.add_mutually_exclusive_group(required=True)
+    channel.add_argument("--count", type=int, help="flips per codeword window")
+    channel.add_argument("--rate", type=float, help="per-base flip probability")
     cor.add_argument("--seed", type=int, default=0)
-    _add_chunk_flag(cor)
     cor.set_defaults(func=_cmd_corrupt)
 
     ver = sub.add_parser("verify-code", help="check codebook distance claims")

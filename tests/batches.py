@@ -29,4 +29,4 @@ def mixed_batches(codebook, seed):
     pool = records + list(large)
     mixed = ChunkBatch.of([pool[i] for i in rng.permutation(len(pool))])
     noisy = corrupt_records(mixed, ChannelSpec.parse("rate:0.05"), rng)
-    return [small, parse_fasta(emit_fasta(moved), chunk_bases), noisy]
+    return [small, parse_fasta(emit_fasta(moved)), noisy]

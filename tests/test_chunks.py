@@ -415,8 +415,9 @@ def test_fasta_mu_inference_lone_last_record(codebook):
     assert result.content[-1:] == fd.content[-1:]
 
 
-@pytest.mark.parametrize("chunk_bases", [11, 44])
-def test_fasta_written_at_a_smaller_chunk_size_parses_at_the_default(codebook, chunk_bases):
+@pytest.mark.parametrize("chunk_bases", [11, 44, 198, 990])
+def test_fasta_written_at_any_chunk_size_parses(codebook, chunk_bases):
+    """The header width comes from the records: no chunk size is given."""
     fd = FileDescriptor(content=bytes(range(200)) * 2, extension="bin", file_id=3)
     records = encode_file(fd, codebook, chunk_bases=chunk_bases)
     assert records[0].mu > 1
@@ -425,6 +426,29 @@ def test_fasta_written_at_a_smaller_chunk_size_parses_at_the_default(codebook, c
     assert [r.mu for r in parsed] == [r.mu for r in records]
     result = decode_file(parsed, codebook)
     assert result.fully_recovered and result.content == fd.content
+
+
+def test_a_file_of_mu_12_parses_from_its_records(codebook):
+    """3**11 + 10 bytes at 11 bases a chunk take 177,166 chunks, so mu is
+    12, not the 1 its lengths alone suggest: the record count settles it,
+    for the whole file and for its first 800 records."""
+    fd = FileDescriptor(np.random.default_rng(12).bytes(3**11 + 10), extension="")
+    records = encode_file(fd, codebook, chunk_bases=11)
+    assert records[0].mu == 12
+    text = emit_fasta(records)
+    parsed = parse_fasta(text)
+    assert (parsed.header_widths == 15).all() and parsed.codes.tobytes() == records.codes.tobytes()
+    assert decode_file(parsed, codebook).content == fd.content
+    first = parse_fasta(">" + ">".join(text.split(">")[1:801]))
+    assert len(first) == 800 and (first.header_widths == 15).all()
+
+
+def test_repeated_reads_of_a_small_file_parse_at_its_width(codebook):
+    """300 copies of a 1 KiB file's 115 records still parse at mu 5."""
+    records = encode_file(FileDescriptor(np.random.default_rng(1).bytes(1024)), codebook)
+    assert (len(records), records[0].mu) == (115, 5)
+    parsed = parse_fasta(emit_fasta(records) * 300)
+    assert len(parsed) == 300 * 115 and (parsed.header_widths == 8).all()
 
 
 def test_decode_error_when_no_record_has_a_payload(codebook):
@@ -467,10 +491,10 @@ def test_a_header_too_wide_for_int64_is_not_read(codebook, monkeypatch):
     walked = []
     horner = chunks._horner
     monkeypatch.setattr(chunks, "_horner", lambda trits: walked.append(len(trits)) or horner(trits))
-    bases = "ACGT" * 500_000
-    _, [index], _ = parse_fasta(f">a\n{bases[:53]}\n", chunk_bases=11).decoded_headers()
+    codes = dna_codes("ACGT" * 500_000)
+    _, [index], _ = ChunkBatch(codes[:53], [53], [42]).decoded_headers()
     assert walked == [2, 39] and 0 <= index < 3**39
-    batch = parse_fasta(f">a\n{bases}\n")
+    batch = ChunkBatch(codes, [len(codes)], [len(codes) - 99])
     assert [column.tolist() for column in batch.decoded_headers()] == [[0], [-1], [False]]
     result = decode_file(batch, codebook)
     assert result.set_aside == [0] and result.content == b""
@@ -486,6 +510,14 @@ def test_fasta_wire_format_is_pinned(codebook):
     assert (len(records), records[0].mu, len(records[-1].payload_dna)) == (24, 3, 22)
     digest = hashlib.sha256(emit_fasta(records).encode("ascii")).hexdigest()
     assert digest == "d56e15d4a0958b848c3458da4b72cafee2240845da3c941f37dfb452076045ec"
+
+
+def test_fasta_titles_an_unreadable_header_chunk_minus_1():
+    """A 44-base header is too wide to read and decodes as chunk -1,
+    which the title writes as it is."""
+    assert emit_fasta([ChunkRecord("ACGTACGTACG", "ACGT" * 11)]) == (
+        ">f0_c-1 len=55\nACGTACGTACG" + "ACGT" * 11 + "\n"
+    )
 
 
 def test_fasta_of_parsed_records_keeps_titles(codebook):
@@ -515,7 +547,7 @@ def test_chunk_batch_is_a_sequence_of_records(codebook):
     assert ChunkBatch.of(expected) == batch and ChunkBatch.of(batch) is batch
     with pytest.raises(IndexError):
         batch[len(batch)]
-    parsed = parse_fasta(emit_fasta(batch), 44)
+    parsed = parse_fasta(emit_fasta(batch))
     assert [(r.file_id, r.chunk_index) for r in parsed] == [(None, None)] * len(batch)
     assert [r.sequence for r in parsed] == [r.sequence for r in expected]
     with pytest.raises(ValueError):

@@ -1,12 +1,14 @@
+import argparse
 import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import dnagolay
 from dnagolay.chunks import ChunkError, FastaError, decode_header, parse_fasta
-from dnagolay.cli import main
+from dnagolay.cli import build_parser, main
 from dnagolay.codebook import CodebookError
 from dnagolay.mldecode import DecodeError, DecodeResult
 from dnagolay.ternary import AlphabetError
@@ -135,11 +137,35 @@ def test_corrupt_then_decode_corrects_single_flips(tmp_path, sample_file):
 
 
 def test_corrupt_requires_exactly_one_mode(tmp_path, sample_file):
+    """Neither --count nor --rate, or both, is a usage error."""
+    fasta = tmp_path / "clean.fasta"
+    run(["encode", "--in", str(sample_file), "--out", str(fasta)])
+    for modes in ([], ["--count", "1", "--rate", "0.01"]):
+        with pytest.raises(SystemExit) as err:
+            run(["corrupt", "--in", str(fasta), "--out", str(tmp_path / "x.fasta"), *modes])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.fasta").exists()
+
+
+@pytest.mark.parametrize("argv", [["decode"], ["corrupt", "--count", "0"]], ids=lambda a: a[0])
+def test_reading_commands_take_no_chunk_size(tmp_path, sample_file, capsys, argv):
     fasta = tmp_path / "clean.fasta"
     run(["encode", "--in", str(sample_file), "--out", str(fasta)])
     with pytest.raises(SystemExit) as err:
-        run(["corrupt", "--in", str(fasta), "--out", str(tmp_path / "x.fasta")])
-    assert err.value.code == 2
+        run([*argv, "--in", str(fasta), "--out", str(tmp_path / "x"), "--chunk-bases", "99"])
+    assert err.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_decode_reads_a_file_encoded_at_another_chunk_size(tmp_path, capsys):
+    """The decoder takes the header width from the records, so a file
+    encoded at 198 bases a chunk decodes with no chunk size given."""
+    source, fasta, restored = tmp_path / "in.bin", tmp_path / "x.fasta", tmp_path / "out.bin"
+    source.write_bytes(np.random.default_rng(5).bytes(5000))
+    assert run(["encode", "--in", str(source), "--out", str(fasta), "--chunk-bases", "198"]) == 0
+    assert run(["decode", "--in", str(fasta), "--out", str(restored)]) == 0
+    assert restored.read_bytes() == source.read_bytes()
+    assert "records set aside" not in capsys.readouterr().out
 
 
 def test_corrupt_is_seed_deterministic(tmp_path, sample_file):
@@ -361,17 +387,21 @@ def test_malformed_arguments_are_usage_errors(tmp_path, sample_file, argv):
         (["simulate", "--in", "{sample}", "--grid", "count:12", "--csv", "{out}"], "[0, 11]"),
         (["corrupt", "--in", "{fasta}", "--out", "{out}", "--count", "12"], "[0, 11]"),
         (["encode", "--in", "{sample}", "--out", "{out}", "--extension", "a;b"], "';'"),
+        (["simulate", "--in", "{odd}", "--grid", "count:1", "--trials", "1", "--csv", "{out}"], "';'"),
     ],
-    ids=["simulate", "corrupt", "encode"],
+    ids=["simulate", "corrupt", "encode", "simulate-extension"],
 )
 def test_argument_errors_exit_2_before_any_output(tmp_path, sample_file, capsys, argv, message):
     """A count no window can take and an extension that holds a separator
-    are usage errors (exit 2), not degraded decodes (exit 1): each is
-    caught before any encoding, and no output file is written."""
+    (given, or the suffix of the input) are usage errors (exit 2), not
+    degraded decodes (exit 1): each is caught before any encoding, and no
+    output file is written."""
     fasta = tmp_path / "clean.fasta"
     run(["encode", "--in", str(sample_file), "--out", str(fasta)])
     capsys.readouterr()
-    paths = {"fasta": fasta, "out": tmp_path / "out", "sample": sample_file}
+    odd = tmp_path / "x.a;b"
+    odd.write_bytes(sample_file.read_bytes())
+    paths = {"fasta": fasta, "out": tmp_path / "out", "sample": sample_file, "odd": odd}
     with pytest.raises(SystemExit) as err:
         run([arg.format_map(paths) for arg in argv])
     assert err.value.code == 2
@@ -398,3 +428,21 @@ def test_custom_codebook_flag(tmp_path, sample_file, codebook):
     assert run(["encode", "--in", str(sample_file), "--out", str(fasta), "--codebook", str(book_path)]) == 0
     assert run(["decode", "--in", str(fasta), "--out", str(restored), "--codebook", str(book_path)]) == 0
     assert restored.read_bytes() == sample_file.read_bytes()
+
+
+def test_readme_usage_lists_every_option():
+    """README's "Command line" block names every subcommand and, for
+    each, exactly the options its parser takes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = {}
+    for line in block.splitlines():
+        if line.startswith("dnagolay "):
+            command = line.split()[1]
+        listed.setdefault(command, set()).update(re.findall(r"--[\w-]+", line))
+    [subparsers] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert listed == parsed

@@ -691,11 +691,11 @@ def test_decode_file_of_a_pool_of_two_file_sizes(codebook):
 
 
 def test_decode_file_sets_aside_an_index_past_any_file(codebook):
-    """A lone 200-base record sets a 101-base header, whose index parity
+    """A lone 200-base record with a 101-base header, whose index parity
     does not bound: one at or past max(3**11, 3 x the records that fit),
     or negative (wrapped past 2**63), is set aside, not placed."""
     rng = np.random.default_rng(3)
-    batch = parse_fasta(">a\n" + codes_to_dna(rng.integers(0, 4, 200, dtype=np.uint8)) + "\n")
+    batch = ChunkBatch(rng.integers(0, 4, 200, dtype=np.uint8), [200], [101])
     _, indices, _ = batch.decoded_headers()
     assert batch.header_widths[0] == 101 and batch.whole_windows.all()
     assert not 0 <= indices[0] < 3**11
