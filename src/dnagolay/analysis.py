@@ -24,7 +24,7 @@ from .chunks import (
     mu_for_segments,
 )
 from .codebook import CODEWORD_LENGTH, ByteCodebook
-from .mldecode import DecodeError, decode_file
+from .mldecode import decode_file
 from .transcode import codes_to_dna, dna_codes
 
 MODE_COUNT = "count"
@@ -174,17 +174,14 @@ def corrupt_records(
 
 @dataclass(frozen=True)
 class MonteCarloRow:
-    """Aggregated decode quality for one channel setting. An aborted
-    decode counts as 0 in ``byte_accuracy`` and ``file_exact_rate``, and
-    in ``aborted_rate`` only: ``parity_failure_rate`` is the mean over
-    the trials that decoded, and 0.0 when none did."""
+    """Aggregated decode quality for one channel setting: each rate is
+    the mean over all trials, as every decode returns a result."""
 
     spec: ChannelSpec
     trials: int
     byte_accuracy: float
     parity_failure_rate: float
     file_exact_rate: float
-    aborted_rate: float
 
     def to_dict(self) -> dict:
         return {
@@ -194,7 +191,6 @@ class MonteCarloRow:
             "byte_accuracy": self.byte_accuracy,
             "parity_failure_rate": self.parity_failure_rate,
             "file_exact_rate": self.file_exact_rate,
-            "aborted_rate": self.aborted_rate,
         }
 
 
@@ -204,15 +200,10 @@ def _run_trial(
     codebook: ByteCodebook,
     spec: ChannelSpec,
     trial: int,
-) -> tuple[float, float | None, float]:
-    """(byte accuracy, parity failure rate, exactness) of one trial; the
-    parity failure rate is None when the decode aborted."""
+) -> tuple[float, float, float]:
+    """(byte accuracy, parity failure rate, exactness) of one trial."""
     rng = np.random.default_rng(np.random.SeedSequence((spec.seed, trial)))
-    corrupted = corrupt_records(records, spec, rng)
-    try:
-        result = decode_file(corrupted, codebook)
-    except DecodeError:
-        return 0.0, None, 0.0
+    result = decode_file(corrupt_records(records, spec, rng), codebook)
     decoded = result.content
     if content:
         n = min(len(decoded), len(content))
@@ -243,17 +234,8 @@ def monte_carlo_decode(
     rows = []
     for spec in grid:
         outcomes = [_run_trial(records, fd.content, codebook, spec, t) for t in range(trials)]
-        parity = [o[1] for o in outcomes if o[1] is not None]
-        rows.append(
-            MonteCarloRow(
-                spec=spec,
-                trials=trials,
-                byte_accuracy=sum(o[0] for o in outcomes) / trials,
-                parity_failure_rate=sum(parity) / len(parity) if parity else 0.0,
-                file_exact_rate=sum(o[2] for o in outcomes) / trials,
-                aborted_rate=(trials - len(parity)) / trials,
-            )
-        )
+        accuracy, parity, exact = (sum(column) / trials for column in zip(*outcomes))
+        rows.append(MonteCarloRow(spec, trials, accuracy, parity, exact))
     return rows
 
 

@@ -71,7 +71,8 @@ from .transcode import (
 
 
 class DecodeError(ValueError):
-    """Raised when records cannot be assembled into a file at all."""
+    """Raised when :func:`decode_chunk` is given a payload that is not
+    whole 11-base windows; :func:`decode_file` sets such records aside."""
 
 
 @dataclass(frozen=True)
@@ -530,13 +531,10 @@ def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
     """The packed keys of the payload windows of the records ``order``,
     in that order, with each record's window count, packed from the
     record rows; no array per window but the keys spans the stream.
-
-    Raises :class:`DecodeError` for a payload that is not a positive
+    Every record of ``order`` must fit: its payload is a positive
     multiple of 11 bases.
     """
     counts = batch.payload_lengths[order] // CODEWORD_LENGTH
-    if not batch.whole_windows[order].all():
-        raise DecodeError(f"a payload is not a positive multiple of {CODEWORD_LENGTH} bases")
     firsts = np.cumsum(counts) - counts
     keys = np.empty(int(counts.sum()), dtype=np.uint32)
     for places, rows, width in batch.record_rows(order):
@@ -560,8 +558,12 @@ def decode_chunk(
     the lowest total distance.
     Header damage never aborts the decode: the payload is still
     recovered best-effort and the chunk is flagged via ``parity_ok``.
+    Raises :class:`DecodeError` for a payload that is not a positive
+    multiple of 11 bases.
     """
     batch = ChunkBatch.of([record])
+    if not batch.whole_windows[0]:
+        raise DecodeError(f"a payload is not a positive multiple of {CODEWORD_LENGTH} bases")
     keys, _ = _payload_keys(batch, slice(None))
     file_ids, indices, parity_ok = batch.decoded_headers()
     images = candidate_images(codebook)
@@ -615,16 +617,15 @@ def decode_file(
     file id, else its first. All other records are listed in
     ``set_aside`` by input position, ascending. Missing chunks are
     reported and stand in as zero bytes so later content keeps its
-    offsets. Raises :class:`DecodeError` when no record fits.
+    offsets. Never raises on records that parse: with none that fits,
+    the result is empty, file id 0, and every record is set aside.
     """
     batch = ChunkBatch.of(records)
     fits = batch.whole_windows
-    if not fits.any():
-        raise DecodeError(f"no record has a payload of whole {CODEWORD_LENGTH}-base windows")
     images = candidate_images(codebook)
 
     fid_arr, index_arr, parity_arr = batch.decoded_headers()
-    file_id = int(np.bincount(fid_arr[fits]).argmax())
+    file_id = int(np.bincount(fid_arr[fits], minlength=1).argmax())
     limit = max(3 * int(np.count_nonzero(fits)), 3**11)  # 3**11 chunks: 1.6 MB
     placeable = fits & (index_arr >= 0) & (index_arr < limit)
     # a stable sort by index, trusted headers first within an index, of the placeable records

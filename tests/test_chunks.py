@@ -23,7 +23,7 @@ from dnagolay.chunks import (
     mu_for_segments,
     parse_fasta,
 )
-from dnagolay.mldecode import DecodeError, decode_file
+from dnagolay.mldecode import decode_file
 from dnagolay.ternary import AlphabetError
 from dnagolay.transcode import BASE_INDEX, codes_to_dna, decode_rows, dna_codes, trits_to_dna
 from batches import mixed_batches
@@ -451,13 +451,15 @@ def test_repeated_reads_of_a_small_file_parse_at_its_width(codebook):
     assert len(parsed) == 300 * 115 and (parsed.header_widths == 8).all()
 
 
-def test_decode_error_when_no_record_has_a_payload(codebook):
-    """Records too short for any payload parse, and decode_file says
-    that none fits."""
+def test_decode_file_sets_aside_records_with_no_payload(codebook):
+    """Records too short for any payload parse, and decode_file returns
+    an empty file with every record set aside."""
     parsed = parse_fasta(">a\nACGTACGTACG\n>b\nACGTACGTACGT\n")
     assert parsed.lengths.tolist() == [11, 12] and parsed.header_widths.tolist() == [12, 12]
-    with pytest.raises(DecodeError, match="no record has a payload of whole 11-base windows"):
-        decode_file(parsed, codebook)
+    result = decode_file(parsed, codebook)
+    assert (result.content, result.size_bytes, result.trailer_ok) == (b"", None, False)
+    assert (result.file_id, result.unrecoverable_chunks, result.set_aside) == (0, [], [0, 1])
+    assert len(result.per_chunk) == 0 and not result.fully_recovered
 
 
 @pytest.mark.parametrize("place", [0, 5])
@@ -768,7 +770,7 @@ def test_header_widths_and_record_lengths_leave_numpy_ma_unloaded():
         from dnagolay import load_default_codebook
         from dnagolay.chunks import ChunkBatch, ChunkRecord, FileDescriptor
         from dnagolay.chunks import emit_fasta, encode_file, parse_fasta
-        from dnagolay.mldecode import DecodeError, decode_file
+        from dnagolay.mldecode import decode_file
         book = load_default_codebook()
         fd = FileDescriptor(np.random.default_rng(0).bytes(2000), "bin")
         text = emit_fasta(encode_file(fd, book))
@@ -777,19 +779,14 @@ def test_header_widths_and_record_lengths_leave_numpy_ma_unloaded():
         mixed.decoded_headers()
         at = text.index("\\n", text.index(">f0_c4")) + 10  # a base of record 4's payload
         print(decode_file(parse_fasta(text[:at] + text[at + 1 :]), book).set_aside)
-        try:
-            decode_file(parse_fasta(">a\\nACGT\\n>b\\nACG\\n>c\\nAC\\n"), book)
-        except DecodeError as exc:
-            print(exc)
+        print(decode_file(parse_fasta(">a\\nACGT\\n>b\\nACG\\n>c\\nAC\\n"), book).set_aside)
         print("numpy.ma" in sys.modules)
     """
     src = os.path.dirname(os.path.dirname(chunks.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "[4]", "no record has a payload of whole 11-base windows", "False"
-    ]
+    assert out.stdout.splitlines() == ["[4]", "[0, 1, 2]", "False"]
 
 
 def test_encode_blocks_write_the_same_codes(codebook, monkeypatch):

@@ -280,6 +280,21 @@ def test_decode_sets_aside_a_record_with_a_base_deleted(tmp_path, capsys):
     assert partial[:27] + partial[36:] == source.read_bytes()[:27] + source.read_bytes()[36:]
 
 
+@pytest.mark.parametrize("text, set_aside", [(">a\nACGT\n", [0]), ("", [])], ids=["short", "empty"])
+def test_decode_of_records_that_do_not_fit_writes_an_empty_partial(tmp_path, capsys, text, set_aside):
+    """Parseable text with no record that fits still decodes: to an empty
+    ``.partial``, exit 1, with every record listed as set aside."""
+    fasta = tmp_path / "in.fasta"
+    fasta.write_text(text)
+    restored, report = tmp_path / "restored.bin", tmp_path / "decode.json"
+    argv = ["decode", "--in", str(fasta), "--out", str(restored), "--report", str(report)]
+    assert run(argv) == 1
+    assert "decode degraded" in capsys.readouterr().out
+    assert not restored.exists() and (tmp_path / "restored.bin.partial").read_bytes() == b""
+    payload = json.loads(report.read_text())
+    assert (payload["set_aside"], payload["unrecoverable_chunks"]) == (set_aside, [])
+
+
 def test_corrupt_count_mode_rejects_a_record_that_does_not_fit(tmp_path, sample_file, capsys):
     fasta = tmp_path / "clean.fasta"
     run(["encode", "--in", str(sample_file), "--out", str(fasta)])
@@ -337,8 +352,8 @@ def test_simulate_table_and_determinism(tmp_path, sample_file, capsys):
     second = capsys.readouterr().out
     assert first == second
     assert "count=0" in first and "count=1" in first
-    columns = ["channel", "trials", "byte_acc", "parity_fail", "file_exact", "aborted"]
-    assert first.split()[:6] == columns
+    columns = ["channel", "trials", "byte_acc", "parity_fail", "file_exact"]
+    assert first.splitlines()[0].split() == columns
 
 
 def test_simulate_csv(tmp_path, sample_file):
@@ -388,14 +403,21 @@ def test_malformed_arguments_are_usage_errors(tmp_path, sample_file, argv):
         (["corrupt", "--in", "{fasta}", "--out", "{out}", "--count", "12"], "[0, 11]"),
         (["encode", "--in", "{sample}", "--out", "{out}", "--extension", "a;b"], "';'"),
         (["simulate", "--in", "{odd}", "--grid", "count:1", "--trials", "1", "--csv", "{out}"], "';'"),
+        (["simulate", "--in", "{sample}", "--grid", "count:1", "--trials", "0", "--csv", "{out}"], ">= 1"),
+        (
+            ["simulate", "--in", "{sample}", "--grid", "count:1", "--chunk-bases", "12", "--csv", "{out}"],
+            "multiple of 11",
+        ),
+        (["construct", "--family", "27,2,1", "--out", "{out}"], "lengths above 26"),
     ],
-    ids=["simulate", "corrupt", "encode", "simulate-extension"],
+    ids=["simulate", "corrupt", "encode", "simulate-extension", "trials", "chunk-bases", "construct"],
 )
 def test_argument_errors_exit_2_before_any_output(tmp_path, sample_file, capsys, argv, message):
-    """A count no window can take and an extension that holds a separator
-    (given, or the suffix of the input) are usage errors (exit 2), not
-    degraded decodes (exit 1): each is caught before any encoding, and no
-    output file is written."""
+    """A count no window can take, an extension that holds a separator
+    (given, or the suffix of the input), no trials, a chunk size that is
+    not whole windows and a code too long to scan are usage errors (exit
+    2) with the library's message, not degraded decodes (exit 1): each is
+    caught before any encoding, and no output file is written."""
     fasta = tmp_path / "clean.fasta"
     run(["encode", "--in", str(sample_file), "--out", str(fasta)])
     capsys.readouterr()
