@@ -64,7 +64,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.9.1"
 
 __all__ = [
     "AlphabetError",

@@ -118,10 +118,12 @@ def _substitute(
             raise ValueError(
                 f"cannot substitute {spec.count} positions in a window of {widths[-1]}"
             )
+        if (widths == CODEWORD_LENGTH).all():
+            widths = CODEWORD_LENGTH  # a scalar bound draws the same numbers, faster
         taken = np.zeros(len(starts), dtype=np.int16)
         positions = np.empty((spec.count, len(starts)), dtype=np.int64)
         for j in range(spec.count, 0, -1):
-            t = rng.integers(0, widths - j + 1)
+            t = rng.integers(0, widths - j + 1, size=len(starts))
             t = np.where((taken >> t) & 1, widths - j, t)
             taken |= 1 << t
             np.add(starts, t, out=positions[j - 1])

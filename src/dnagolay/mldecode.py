@@ -14,24 +14,25 @@ every per-base step (a context shift, a trit reading, a substitution)
 is a base-by-base sum mod 4 of keys, :func:`_add_fields`. A codeword's
 image after base c is its image after 'A' shifted by c (mod 4), and a
 window's trit reading does not change under that shift, so windows are
-shifted into context 'A' and one image table serves all contexts. A
-table indexed by the last nine bases of a shifted window names an image
-and a radius, at most two, within which every window decodes to it
-alone; built from every window within two substitutions of an image, it
-gives ML decodes for any codebook. The same sort gives the near table:
-the windows within two substitutions of an image that the radius-2
-table does not place, sorted, each with its ML answer. All other windows
-go to the kernel, :func:`_batched_min_stats`, which serves streams,
-chunks and the audit; :func:`decode_codeword_ml` is its scalar
-reference. The kernel answers every key in the near table by one sorted
-search. Its row path, :func:`_row_decode`, sums for each farther key one
-uint16 table row per key byte into ``distance << 9 | index`` for all 256
-images: one row minimum gives the distance and the nearest image, and a
-second one any tie, which the trit layer breaks the same way. It also
-answers the near table's ties, once at build. Both layers read only the
-shifted key, so the kernel decodes each distinct shifted key of a slice
-once; the audit gives it each block of codewords in all four contexts in
-one call, so a flipped image is decoded once for the four.
+shifted into context 'A' and one image table serves all contexts.
+
+The ball table holds the final two-layer answer of every shifted key
+within two substitutions of an image, for any codebook: its byte value,
+DNA distance and ambiguous flag. One sort of every such key with each
+image it is near gives its nearest image, or a tie, which the row path
+answers at build. The table has two levels: the last nine bases of a
+key, its slot, name a block of 16 cells, and its first two bases the
+cell; slots with equal cells share a block. The kernel,
+:func:`_batched_min_stats`, serves streams, chunks and the audit;
+:func:`decode_codeword_ml` is its scalar reference. It reads the ball
+table for every key. Its row path, :func:`_row_decode`, sums for each
+farther key one uint16 table row per key byte into
+``distance << 9 | index`` for all 256 images: one row minimum gives the
+distance and the nearest image, and a second one any tie, which the trit
+layer breaks the same way. Both layers read only the shifted key, so the
+row path decodes each distinct shifted key of a slice once. The audit
+gives the kernel each block of codewords in all four contexts in one
+call; up to two flips the ball table answers every case.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -184,8 +185,7 @@ _BYTE_VALUES = (256, 256, 64)
 # the number of nonzero 2-bit fields in each byte: its mismatches when it is an XOR
 _BYTE_MISMATCHES = sum((np.arange(256) >> 2 * f & 3) != 0 for f in range(4)).astype(np.uint16)
 _PACK = np.uint32(1 | 1 << 10 | 1 << 20 | 1 << 30)  # see _row_keys
-# the fields of a near table answer, value | distance << 8 | ambiguous << 10, in their low bytes
-_ANSWER_SHIFTS = np.array([[0], [8], [10]], dtype=np.uint16)
+_FAR = 3 << 8  # the ball cell of a key farther than two substitutions from every image
 
 
 def _add_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -262,87 +262,97 @@ def _flip_offsets(flips: int) -> np.ndarray:
     return offsets
 
 
-def _radius_tables(image_keys: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The radius-2 table of ``image_keys`` and the near table of the keys
-    within two substitutions of an image that it does not place, both
-    from one sort of every such key.
+def _ball_table(images: CandidateImages) -> tuple[np.ndarray, np.ndarray]:
+    """The ball table of ``images``: the final two-layer ML answer of
+    every key within two substitutions of an image, as a cell
+    ``value | distance << 8 | ambiguous << 10``, in two levels. Returns
+    the block of each key's last nine bases, its slot, and the (16,
+    blocks) cells of the blocks, indexed by its first two bases.
 
-    Under the last nine bases of a key, the radius-2 table holds
-    ``radius << 8 | image``, such that every key within ``radius``
-    substitutions of the image decodes to it alone. The near table is
-    those other keys, sorted, each with its nearest image and distance,
-    ``image | distance << 8``, and the places in it of the keys that tie
-    on DNA distance, whose answer the trit layer gives."""
+    Every such key is listed with each image it is near,
+    ``key << 10 | substitutions << 8 | image``, and one sort puts its
+    nearest image first; the next entry ties it when it has the same key
+    and count, and the row path answers those keys. Slots whose 16 cells
+    are equal share a block: the keys sort by their first two bases, and
+    each of those 16 runs splits the classes of the slots it touches by
+    their cells there. Block 0, all cells ``_FAR``, serves the slots no
+    key touches."""
     offsets = [_flip_offsets(flips) for flips in range(3)]
-    entries = _add_fields(image_keys[:, None], np.concatenate(offsets)) << 10
+    entries = _add_fields(images.image_keys[:, None], np.concatenate(offsets)) << 10
     entries |= np.repeat(np.arange(3, dtype=np.uint32), list(map(len, offsets))) << 8
-    entries |= np.arange(len(image_keys), dtype=np.uint32)[:, None]
-    entries = entries.ravel()  # key << 10 | substitutions << 8 | image
+    entries |= np.arange(len(images.image_keys), dtype=np.uint32)[:, None]
+    entries = entries.ravel()
     entries.sort()
     step = (entries[1:] ^ entries[:-1]) >> 8  # 0 within a key and distance, < 4 within a key
     # a key's first entry is its nearest image, unique unless the next entry ties it
     first = np.concatenate(([True], step > 3))
-    tied = np.append(step == 0, False)
+    ties = np.flatnonzero(np.append(step == 0, False)[first])
     del step
-    others = np.flatnonzero(~first | tied)  # every entry but a unique nearest image
-    slots, near = entries >> 10 & _INDEX, (entries & 0x3FF).astype(np.uint16)
-    # a slot names the image of its nearest uniquely decoded key, the lowest on a tie
-    table = np.full(_INDEX + 1, 3 << 8, dtype=np.uint16)
-    nearest = near.copy()
-    nearest[others] = 0xFFFF
-    np.minimum.at(table, slots, nearest)
-    del nearest
-    table &= 0xFF
-    # and its radius stops short of its nearest key within 2 of that image not decoding to it alone
-    spoilers = others[table[slots[others]] == (near[others] & 0xFF)]
-    table |= 2 << 8
-    np.minimum.at(table, slots[spoilers], near[spoilers] - (1 << 8))
-    # lookup places each key within the radius of the image its slot names; the near table
-    # holds the others, each with its nearest image and distance
-    slot_entries = table[slots]
-    del slots
-    placed = ((slot_entries ^ near) & 0xFF == 0) & (near <= slot_entries)
-    rest = np.flatnonzero(first & ~placed)
-    del slot_entries, placed
-    # a last key above every window key ends every search inside the table
-    near_keys = np.append(entries[rest] >> 10, np.uint32(4**CODEWORD_LENGTH))
-    return table, near_keys, np.append(near[rest], np.uint16(0)), np.flatnonzero(tied[rest])
+    entries = entries[first]
+    del first
+    # the row path answers the tied keys 256 at a time: freeing its 1 MiB
+    # buffers for 1,024 keys would raise glibc's mmap threshold, so the 1 MiB
+    # slot classes below would come from its heap, whose pages stay resident
+    tied = entries[ties] >> 10
+    parts = np.array_split(tied, range(256, len(tied), 256))
+    found = np.concatenate([_row_decode(part, images) for part in parts], axis=1).astype(np.uint16)
+    cells = (entries & 0x3FF).astype(np.uint16)
+    cells[ties] = found[0] | found[1] << 8 | found[2] << 10
+    # the keys sort by their first two bases: 16 runs, each ascending by slot
+    runs = [0, *np.searchsorted(entries, np.arange(1, 16, dtype=np.uint32) << 28), len(entries)]
+    entries >>= 10
+    entries &= _INDEX  # now each key's slot
+    # each run splits the classes of the slots it reaches by their cell in it, so
+    # slots end in one class when their 16 cells are equal; class 0 holds the
+    # slots no key reaches
+    classes = np.zeros(_INDEX + 1, dtype=np.uint32)
+    count = 1
+    for lo, hi in zip(runs[:-1], runs[1:]):
+        slots = entries[lo:hi]
+        distinct, inverse = np.unique(classes[slots] << 11 | cells[lo:hi], return_inverse=True)
+        classes[slots] = inverse + count
+        count += len(distinct)
+    # a block per class left, numbered in class order from block 0, the far block
+    used = np.zeros(count, dtype=bool)
+    used[classes] = True
+    blocks = np.cumsum(used, dtype=np.min_scalar_type(np.count_nonzero(used))) - 1
+    block_cells = np.full((len(runs) - 1, int(blocks[-1]) + 1), _FAR, dtype=np.uint16)
+    blocks = blocks[classes]
+    del classes
+    highs = np.repeat(np.arange(len(runs) - 1, dtype=np.uint8), np.diff(runs))
+    block_cells[highs, blocks[entries]] = cells
+    return blocks, block_cells
 
 
 class CandidateImages:
     """The codeword trits and the keys of their DNA images in context
     'A', cached per codebook, with the kernel's packed tables of both and
-    the :func:`_radius_tables` of the image keys: ``table`` for
-    :meth:`lookup`, and ``near_keys`` with ``near_answers`` for the kernel,
-    whose row path answers the near keys tied on DNA distance at build."""
+    the :func:`_ball_table` of the image keys, ``ball_blocks`` and
+    ``ball_cells``, which :meth:`lookup` reads; the kernel's row path
+    answers the keys in it that tie on DNA distance, at build."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
         self.image_keys = _row_keys(encode_rows(self.words, 0), 1)[:, 0]
-        self.table, self.near_keys, self.near_answers, ties = _radius_tables(self.image_keys)
         self.image_tables = _packed_tables(self.image_keys)
         self.word_tables = _packed_tables(_row_keys(self.words, 1)[:, 0])
-        found = _row_decode(self.near_keys[ties], self)
-        self.near_answers[ties] = np.bitwise_or.reduce(found << _ANSWER_SHIFTS, axis=0)
+        self.ball_blocks, self.ball_cells = _ball_table(self)
 
-    def lookup(self, keys: np.ndarray, contexts: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Table decode of packed windows received after ``contexts``:
-        (byte values, DNA distances, placed flags). A window is placed
-        when it differs from its entry's image in at most the entry's
-        radius of bases; the image is then its unique ML decode, at DNA
-        distance 0, 1 or 2. Any other window needs the kernel; its value
-        means nothing, and its distance is 1 to 3."""
-        keys = _add_fields(keys, _NEGATIONS[contexts])
-        entries = np.take(self.table, keys & _INDEX)
-        values = entries.astype(np.uint8)  # the low byte: the image
-        keys ^= np.take(self.image_keys, values)
-        mismatches = (keys | keys >> 1) & _FIELDS  # the low bit of each differing base
-        # the count of differing bases, capped at 3: clear the lowest set bit twice
-        distances = (mismatches != 0).view(np.uint8)
-        for _ in range(2):
-            mismatches &= mismatches - 1
-            distances += mismatches != 0
-        return values, distances, distances <= entries >> 8
+    def lookup(self, keys: np.ndarray, contexts: np.ndarray | int) -> tuple[np.ndarray, ...]:
+        """Ball table decode of packed windows received after
+        ``contexts``: (byte values, DNA distances, ambiguous flags, placed
+        flags), from two table reads. A window is placed when it lies
+        within two substitutions of an image; its values are then its
+        two-layer ML decode, that of :func:`_row_decode`. Any other window
+        needs the row path; its value means nothing and its distance is 3."""
+        keys = _add_fields(keys, np.take(_NEGATIONS, contexts))
+        blocks = np.take(self.ball_blocks, keys & _INDEX)
+        keys >>= 2 * 9  # the first two bases
+        keys *= self.ball_cells.shape[1]
+        keys += blocks
+        cells = np.take(self.ball_cells, keys)
+        distances = (cells >> 8 & 3).astype(np.uint8)
+        return cells.astype(np.uint8), distances, cells >= 1 << 10, distances < 3
 
 
 @lru_cache(maxsize=4)
@@ -427,30 +437,21 @@ def _batched_min_stats(
     """Two-layer ML decode of window keys, each received after its
     context base code: (byte values, DNA distances, ambiguous flags).
 
-    Keys are shifted into context 'A' ``_SLICE`` at a time, and each
-    distinct shifted key of a slice is decoded once; both layers read
-    only the shifted key, so its result is scattered back to every key
-    that shares it. One sorted search of the near table answers every
-    distinct key within two substitutions of an image that the radius-2
-    table does not place; :func:`_row_decode` answers the others.
+    The ball table answers every key within two substitutions of an
+    image. The others are shifted into context 'A' ``_SLICE`` at a time,
+    and :func:`_row_decode` decodes each distinct shifted key of a slice
+    once; both layers read only the shifted key, so its result is
+    scattered back to every key that shares it.
     """
-    n = len(keys)
-    contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (n,))
-    values = np.empty(n, dtype=np.uint8)
-    distances = np.empty(n, dtype=np.uint8)
-    ambiguous = np.empty(n, dtype=bool)
-    for lo in range(0, n, _SLICE):
-        part = slice(lo, lo + _SLICE)
+    contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (len(keys),))
+    values, distances, ambiguous, placed = images.lookup(keys, contexts)
+    far = np.flatnonzero(~placed)
+    for lo in range(0, len(far), _SLICE):
+        part = far[lo : lo + _SLICE]
         distinct, inverse = np.unique(
             _add_fields(keys[part], _NEGATIONS[contexts[part]]), return_inverse=True
         )
-        at = np.searchsorted(images.near_keys, distinct)
-        # values, distances and ties, as the near table answers them
-        found = (images.near_answers[at] >> _ANSWER_SHIFTS).astype(np.uint8)
-        found[1] &= 3
-        far = np.flatnonzero(images.near_keys[at] != distinct)
-        found[:, far] = _row_decode(distinct[far], images)
-        values[part], distances[part], ambiguous[part] = found[:, inverse]
+        values[part], distances[part], ambiguous[part] = _row_decode(distinct, images)[:, inverse]
     return values, distances, ambiguous
 
 
@@ -466,12 +467,14 @@ def _decode_stream(
     flags, final corrected base code of the last stream).
 
     A window's context is the last base of its corrected predecessor in
-    its stream. Round one looks every window up in the radius-2 table
-    under its received context, block by block; a window it finds exact
-    keeps its last base, so an undamaged stream ends there. Each round,
-    the kernel decodes the misses, except a miss whose context a hit of
-    the same round has just changed: that one waits for the next round,
-    which looks up again every window whose context this round changed.
+    its stream. Round one looks every window up in the ball table under
+    its received context, block by block, which answers, ties included,
+    every window within two substitutions of an image; a window it finds
+    exact keeps its last base, so an undamaged stream ends there. Each
+    round, the kernel decodes the misses, except a miss whose context a
+    hit of the same round has just changed: that one waits for the next
+    round, which looks up again every window whose context this round
+    changed.
     Window k's context is final after at most k+1 rounds, so the result
     is the sequential window-by-window decode of each stream.
     """
@@ -482,14 +485,16 @@ def _decode_stream(
     contexts[breaks] = prev_codes
     last = (images.image_keys & 3).astype(np.uint8)
     values, distances = np.empty((2, n), dtype=np.uint8)
-    hit = np.empty(n, dtype=np.uint8)  # apart, so the results do not hold it
+    ambiguous = np.empty(n, dtype=bool)
+    hit = np.empty(n, dtype=bool)  # apart, so the results do not hold it
     for lo in range(0, n, _LOOKUP_BLOCK):
         block = slice(lo, min(n, lo + _LOOKUP_BLOCK))
-        values[block], distances[block], hit[block] = images.lookup(keys[block], contexts[block])
-    ambiguous = np.zeros(n, dtype=bool)
+        values[block], distances[block], ambiguous[block], hit[block] = images.lookup(
+            keys[block], contexts[block]
+        )
     tails = np.subtract(breaks[1:], 1)  # the last window of every stream but the last
     todo = np.flatnonzero(distances)
-    hit = hit.view(bool)[todo]
+    hit = hit[todo]
     while todo.size:
         ctx = contexts[todo]
         # the places in todo of stream tails, whose last base is no context
@@ -509,8 +514,9 @@ def _decode_stream(
         todo = todo[moves]
         contexts[todo + 1] = (last[values[todo]] + contexts[todo]) & 3
         todo = todo[todo < n - 1] + 1
-        values[todo], distances[todo], hit = images.lookup(keys[todo], contexts[todo])
-        ambiguous[todo] = False
+        values[todo], distances[todo], ambiguous[todo], hit = images.lookup(
+            keys[todo], contexts[todo]
+        )
     return values, distances, ambiguous, int(contexts[n])
 
 
@@ -707,13 +713,12 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     layers count as ambiguous even if the byte-value tiebreak happens to
     return the original.
 
-    The codewords are looked up in the radius-2 table in blocks, each in
-    all four contexts, and the cases it cannot place go to the kernel in
-    one call of at most ``_SLICE`` windows. Every case is shifted by its
-    own context and tallied from its own result; the kernel decodes a
-    flipped image once for all four contexts, as they share its shift
-    into context 'A'. Up to two flips, every case the radius-2 table
-    leaves is in the kernel's near table, so no row is summed.
+    The codewords go to the kernel in blocks, each block in all four
+    contexts in one call of at most ``_SLICE`` windows. Every case is
+    shifted by its own context and tallied from its own result. Up to
+    two flips, the ball table answers every case, so no row is summed;
+    beyond, the row path decodes a flipped image once for all four
+    contexts, as they share its shift into context 'A'.
     """
     offsets = _flip_offsets(flips)
     images = candidate_images(codebook)
@@ -723,13 +728,10 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     cases = unique_correct = ambiguous = miscorrected = 0
     for lo in range(0, CODE_SIZE, words):
         keys = _add_fields(received[:, lo : lo + words, None], offsets)
-        block = np.repeat(contexts, keys[0].size)
-        values, _, placed = images.lookup(keys.ravel(), block)
-        flagged = np.zeros(keys.shape, dtype=bool)
-        misses = np.flatnonzero(~placed)
-        values[misses], _, flagged.ravel()[misses] = _batched_min_stats(
-            keys.ravel()[misses], block[misses], images
+        values, _, flagged = _batched_min_stats(
+            keys.ravel(), np.repeat(contexts, keys[0].size), images
         )
+        flagged = flagged.reshape(keys.shape)
         correct = values.reshape(keys.shape) == np.arange(lo, lo + keys.shape[1])[:, None]
         cases += keys.size
         unique_correct += int((correct & ~flagged).sum())

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -160,6 +161,19 @@ def test_corrupt_records_count_mode_spares_headers(codebook):
     for batch in ([ragged, records[1]], [records[1], ragged], shorter):
         with pytest.raises(ValueError, match="whole 11-base windows"):
             corrupt_records(batch, spec)
+
+
+def test_corrupt_records_count_mode_stream_is_pinned(codebook):
+    """A seeded count:2 channel over a 4,000-byte file gives these codes:
+    the draw of each flip's position is pinned, whatever bound form the
+    windows' widths take."""
+    data = np.random.default_rng(27).bytes(4000)
+    batch = encode_file(FileDescriptor(data, "bin"), codebook)
+    noisy = corrupt_records(batch, ChannelSpec.parse("count:2"), np.random.default_rng(27))
+    assert len(noisy.codes) == 48124
+    assert hashlib.sha256(noisy.codes.tobytes()).hexdigest() == (
+        "25dab58ef3c870132c2c58d6bd1b5eb81635ec4775fdc9dd063503eadc76fc69"
+    )
 
 
 def test_corrupt_records_rate_mode_reaches_headers(codebook):

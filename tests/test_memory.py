@@ -56,19 +56,18 @@ def test_encode_file_holds_no_copy_of_its_payload(codebook):
 
 
 def test_candidate_images_build_is_small(codebook):
-    """The radius-2 table and the near table are built from one sort of
-    256 x 529 uint32 keys. The radius-2 table is kept as 512 KiB, and the
-    near table, the keys it leaves within two substitutions of an image
-    with their answers, in at most 160 KiB: the build retains both and
-    the kernel's tables, and peaks at a few copies of the sorted keys or
-    while the kernel's row path answers the near table's tied keys."""
+    """The ball table is built from one sort of 256 x 529 uint32 keys.
+    It keeps a 512 KiB block id per slot and the blocks' cells, at most
+    1 MiB in all: the build retains it and the kernel's tables, and peaks
+    at a few copies of the sorted keys, while the kernel's row path
+    answers the tied keys, or while the slots are sorted into blocks."""
     tracemalloc.start()
     try:
         images = CandidateImages(codebook)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert images.table.nbytes == 512 << 10
-    assert images.near_keys.nbytes + images.near_answers.nbytes <= 160 << 10
+    assert images.ball_blocks.nbytes == 512 << 10
+    assert images.ball_blocks.nbytes + images.ball_cells.nbytes <= 1 << 20
     assert retained <= 1.5 * (1 << 20), retained
     assert peak <= 3.5 * (1 << 20), peak
