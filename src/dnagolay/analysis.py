@@ -20,6 +20,7 @@ from .chunks import (
     FILE_ID_TRITS,
     FileDescriptor,
     _check_chunk_bases,
+    _check_extension,
     encode_file,
     mu_for_segments,
 )
@@ -349,8 +350,10 @@ def count_record_bases(
 
     Pure arithmetic mirror of the encoder: content plus trailer
     codewords, chunked, plus (3 + mu) header bases per chunk. Raises
-    :class:`ChunkError` for a chunk size that the encoder rejects.
+    :class:`ChunkError` for an extension or a chunk size that the encoder
+    rejects.
     """
+    _check_extension(extension)
     _check_chunk_bases(chunk_bases)
     if size_bytes < 0:
         raise ValueError("size must be >= 0")

@@ -91,11 +91,7 @@ class FileDescriptor:
     def __post_init__(self):
         if not 0 <= self.file_id <= MAX_FILE_ID:
             raise ChunkError(f"file_id must be 0..{MAX_FILE_ID}, got {self.file_id}")
-        for ch in self.extension:
-            if ord(ch) > 255:
-                raise ChunkError(f"extension character {ch!r} is not a byte")
-            if ch in (SIZE_SEPARATOR, EXTENSION_SEPARATOR):
-                raise ChunkError(f"extension must not contain {ch!r}")
+        _check_extension(self.extension)
 
     @property
     def size_bytes(self) -> int:
@@ -350,6 +346,14 @@ def build_payload_trits(fd: FileDescriptor, codebook: ByteCodebook) -> str:
     """Concatenated codewords of content plus the metadata trailer."""
     trits = codebook.as_array()[_payload_values(fd)]
     return (trits + _ORD_ZERO).tobytes().decode("ascii")
+
+
+def _check_extension(extension: str):
+    for ch in extension:
+        if ord(ch) > 255:
+            raise ChunkError(f"extension character {ch!r} is not a byte")
+        if ch in (SIZE_SEPARATOR, EXTENSION_SEPARATOR):
+            raise ChunkError(f"extension must not contain {ch!r}")
 
 
 def _check_chunk_bases(chunk_bases: int):

@@ -66,7 +66,7 @@ def _usage_errors():
 
 def _write_report(path: str | None, payload: dict):
     if path:
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+        Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
 
 
 def _cmd_encode(args) -> int:

@@ -199,20 +199,15 @@ def load_codebook(text: str) -> ByteCodebook:
         claimed[codeword] = value
         declared_weights[value] = declared
 
-    reassigned: list[tuple[int, str]] = []
     missing = sorted(set(range(CODE_SIZE)) - set(assigned))
-    for value in missing:
-        while orphans and orphans[0] in claimed:
-            orphans.pop(0)
-        if not orphans:
-            raise CodebookError(
-                f"fewer than {CODE_SIZE} byte values covered: byte {value} has "
-                "no codeword and no displaced codeword remains"
-            )
-        codeword = orphans.pop(0)
-        assigned[value] = codeword
-        claimed[codeword] = value
-        reassigned.append((value, codeword))
+    spare = [codeword for codeword in dict.fromkeys(orphans) if codeword not in claimed]
+    if len(spare) < len(missing):
+        raise CodebookError(
+            f"fewer than {CODE_SIZE} byte values covered: byte {missing[len(spare)]} has "
+            "no codeword and no displaced codeword remains"
+        )
+    reassigned = list(zip(missing, spare))
+    assigned.update(reassigned)
 
     mismatches = tuple(
         (value, assigned[value], declared, weight(assigned[value]))

@@ -16,9 +16,11 @@ image after base c is its image after 'A' shifted by c (mod 4), and a
 window's trit reading does not change under that shift, so windows are
 shifted into context 'A' and one image table serves all contexts.
 
+Every answer is one uint16 word, ``distance << 9 | ambiguous << 8 |
+byte``, from the ball table through the kernel to the stream decoder.
 The ball table holds the final two-layer answer of every shifted key
-within two substitutions of an image, for any codebook: its byte value,
-DNA distance and ambiguous flag. One sort of every such key with each
+within two substitutions of an image, for any codebook, and ``_FAR``,
+``3 << 9``, for every other key. One sort of every such key with each
 image it is near gives its nearest image, or a tie, which the row path
 answers at build. The table has two levels: the last nine bases of a
 key, its slot, name a block of 16 cells, and its first two bases the
@@ -27,12 +29,13 @@ cell; slots with equal cells share a block. The kernel,
 :func:`decode_codeword_ml` is its scalar reference. It reads the ball
 table for every key. Its row path, :func:`_row_decode`, sums for each
 farther key one uint16 table row per key byte into
-``distance << 9 | index`` for all 256 images: one row minimum gives the
-distance and the nearest image, and a second one any tie, which the trit
-layer breaks the same way. Both layers read only the shifted key, so the
-row path decodes each distinct shifted key of a slice once. The audit
-gives the kernel each block of codewords in all four contexts in one
-call; up to two flips the ball table answers every case.
+``distance << 9 | index`` for all 256 images: one row minimum is the
+answer of a key with one nearest image, and a second one finds any tie,
+which the trit layer breaks the same way. Both layers read only the
+shifted key, so the row path decodes each distinct shifted key of a
+slice once. The audit gives the kernel each block of codewords in all
+four contexts in one call; up to two flips the ball table answers every
+case.
 
 Chunks decode in sequence: each corrected window's last base is the
 next window's context, and chunk k-1's last corrected base seeds chunk
@@ -176,6 +179,7 @@ _BLOCK = 1024  # windows per kernel block; each (rows, 256) uint16 buffer is 512
 _SLICE = _BLOCK << 4  # windows per kernel slice, whose distinct shifted keys are decoded once
 _LOOKUP_BLOCK = 1 << 16  # windows per block of table lookups
 _SHIFT = 9  # a packed table entry is mismatches << _SHIFT, plus the image index
+_AMBIGUOUS = 1 << 8  # the tie flag of an answer word, distance << _SHIFT | tie << 8 | byte
 _FIELDS = sum(1 << 2 * col for col in range(CODEWORD_LENGTH))  # low bit of every base field
 _INDEX = 4**9 - 1  # the last nine bases of a window key: its lookup-table index
 # each context's negation mod 4 in every field: adding it shifts a key into context 'A'
@@ -185,7 +189,7 @@ _BYTE_VALUES = (256, 256, 64)
 # the number of nonzero 2-bit fields in each byte: its mismatches when it is an XOR
 _BYTE_MISMATCHES = sum((np.arange(256) >> 2 * f & 3) != 0 for f in range(4)).astype(np.uint16)
 _PACK = np.uint32(1 | 1 << 10 | 1 << 20 | 1 << 30)  # see _row_keys
-_FAR = 3 << 8  # the ball cell of a key farther than two substitutions from every image
+_FAR = 3 << _SHIFT  # the ball cell of a key farther than two substitutions from every image
 
 
 def _add_fields(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -263,11 +267,10 @@ def _flip_offsets(flips: int) -> np.ndarray:
 
 
 def _ball_table(images: CandidateImages) -> tuple[np.ndarray, np.ndarray]:
-    """The ball table of ``images``: the final two-layer ML answer of
-    every key within two substitutions of an image, as a cell
-    ``value | distance << 8 | ambiguous << 10``, in two levels. Returns
-    the block of each key's last nine bases, its slot, and the (16,
-    blocks) cells of the blocks, indexed by its first two bases.
+    """The ball table of ``images``: the final two-layer ML answer word
+    of every key within two substitutions of an image, in two levels.
+    Returns the block of each key's last nine bases, its slot, and the
+    (16, blocks) cells of the blocks, indexed by its first two bases.
 
     Every such key is listed with each image it is near,
     ``key << 10 | substitutions << 8 | image``, and one sort puts its
@@ -290,14 +293,14 @@ def _ball_table(images: CandidateImages) -> tuple[np.ndarray, np.ndarray]:
     del step
     entries = entries[first]
     del first
+    cells = (entries & 0x3FF).astype(np.uint16)
+    cells += cells & 0x300  # the distance from bit 8 to bit _SHIFT
     # the row path answers the tied keys 256 at a time: freeing its 1 MiB
     # buffers for 1,024 keys would raise glibc's mmap threshold, so the 1 MiB
     # slot classes below would come from its heap, whose pages stay resident
     tied = entries[ties] >> 10
     parts = np.array_split(tied, range(256, len(tied), 256))
-    found = np.concatenate([_row_decode(part, images) for part in parts], axis=1).astype(np.uint16)
-    cells = (entries & 0x3FF).astype(np.uint16)
-    cells[ties] = found[0] | found[1] << 8 | found[2] << 10
+    cells[ties] = np.concatenate([_row_decode(part, images) for part in parts])
     # the keys sort by their first two bases: 16 runs, each ascending by slot
     runs = [0, *np.searchsorted(entries, np.arange(1, 16, dtype=np.uint32) << 28), len(entries)]
     entries >>= 10
@@ -327,9 +330,9 @@ def _ball_table(images: CandidateImages) -> tuple[np.ndarray, np.ndarray]:
 class CandidateImages:
     """The codeword trits and the keys of their DNA images in context
     'A', cached per codebook, with the kernel's packed tables of both and
-    the :func:`_ball_table` of the image keys, ``ball_blocks`` and
-    ``ball_cells``, which :meth:`lookup` reads; the kernel's row path
-    answers the keys in it that tie on DNA distance, at build."""
+    the :func:`_ball_table` of the image keys, ``ball_blocks`` and the
+    answer words ``ball_cells``, which :meth:`lookup` reads; the kernel's
+    row path answers the keys in it that tie on DNA distance, at build."""
 
     def __init__(self, codebook: ByteCodebook):
         self.words = codebook.as_array()
@@ -338,21 +341,19 @@ class CandidateImages:
         self.word_tables = _packed_tables(_row_keys(self.words, 1)[:, 0])
         self.ball_blocks, self.ball_cells = _ball_table(self)
 
-    def lookup(self, keys: np.ndarray, contexts: np.ndarray | int) -> tuple[np.ndarray, ...]:
+    def lookup(self, keys: np.ndarray, contexts: np.ndarray | int) -> np.ndarray:
         """Ball table decode of packed windows received after
-        ``contexts``: (byte values, DNA distances, ambiguous flags, placed
-        flags), from two table reads. A window is placed when it lies
-        within two substitutions of an image; its values are then its
-        two-layer ML decode, that of :func:`_row_decode`. Any other window
-        needs the row path; its value means nothing and its distance is 3."""
+        ``contexts``: one answer word per window, from two table reads. A
+        window within two substitutions of an image is placed, its word
+        below ``_FAR`` and its two-layer ML decode, that of
+        :func:`_row_decode`; any other window needs the row path, and its
+        word is ``_FAR``."""
         keys = _add_fields(keys, np.take(_NEGATIONS, contexts))
         blocks = np.take(self.ball_blocks, keys & _INDEX)
         keys >>= 2 * 9  # the first two bases
         keys *= self.ball_cells.shape[1]
         keys += blocks
-        cells = np.take(self.ball_cells, keys)
-        distances = (cells >> 8 & 3).astype(np.uint8)
-        return cells.astype(np.uint8), distances, cells >= 1 << 10, distances < 3
+        return np.take(self.ball_cells, keys)
 
 
 @lru_cache(maxsize=4)
@@ -401,20 +402,20 @@ def decode_codeword_ml(
 
 def _row_decode(keys: np.ndarray, images: CandidateImages) -> np.ndarray:
     """The kernel's row path: two-layer ML decode of window keys shifted
-    into context 'A', as a (3, keys) uint8 array of byte values, DNA
-    distances and ambiguous flags. Keys go ``_BLOCK`` at a time; a block
-    sums its packed distances to all images from the image tables, and
-    :func:`_nearest` reads the distance, the lowest-index nearest image
-    and a tie flag from them. Only the tied keys take the trit layer, in
-    the same buffers: the same search over the word tables, with untied
-    images set to 0xFFFF."""
-    found = np.zeros((3, len(keys)), dtype=np.uint8)
+    into context 'A', one answer word per key. Keys go ``_BLOCK`` at a
+    time; a block sums its packed distances to all images from the image
+    tables, and :func:`_nearest` reads each row minimum, the answer of a
+    key with one nearest image, and a tie flag from them. Only the tied
+    keys take the trit layer, in the same buffers: the same search over
+    the word tables, with untied images set to 0xFFFF, whose nearest
+    image and tie flag replace the low nine bits of the answer."""
+    found = np.empty(len(keys), dtype=np.uint16)
     buffers = np.empty((2, min(len(keys), _BLOCK), CODE_SIZE), dtype=np.uint16)
     for lo in range(0, len(keys), _BLOCK):
         shifted = keys[lo : lo + _BLOCK]
         packed = _gather(shifted, images.image_tables, *buffers[:, : len(shifted)])
-        best, tied = _nearest(packed)
-        found[:2, lo : lo + _BLOCK] = best & 0xFF, best >> _SHIFT
+        block = found[lo : lo + _BLOCK]
+        block[:], tied = _nearest(packed)
         rows = np.flatnonzero(tied)
         if rows.size:
             # _nearest left a tied image below 255, or at 0xFFFF for the
@@ -426,45 +427,45 @@ def _row_decode(keys: np.ndarray, images: CandidateImages) -> np.ndarray:
             readings = _add_fields(shifted, ~shifted >> 2)
             packed = _gather(readings, images.word_tables, *buffers[:, : len(rows)])
             packed[untied] = 0xFFFF
-            best, found[2, lo + rows] = _nearest(packed)
-            found[0, lo + rows] = best & 0xFF
+            best, ambiguous = _nearest(packed)
+            block[rows] = block[rows] >> _SHIFT << _SHIFT | ambiguous << 8 | best & 0xFF
     return found
 
 
 def _batched_min_stats(
     keys: np.ndarray, contexts: np.ndarray | int, images: CandidateImages
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """Two-layer ML decode of window keys, each received after its
-    context base code: (byte values, DNA distances, ambiguous flags).
+    context base code: one answer word per key.
 
     The ball table answers every key within two substitutions of an
     image. The others are shifted into context 'A' ``_SLICE`` at a time,
     and :func:`_row_decode` decodes each distinct shifted key of a slice
-    once; both layers read only the shifted key, so its result is
+    once; both layers read only the shifted key, so its answer is
     scattered back to every key that shares it.
     """
     contexts = np.broadcast_to(np.asarray(contexts, dtype=np.uint8), (len(keys),))
-    values, distances, ambiguous, placed = images.lookup(keys, contexts)
-    far = np.flatnonzero(~placed)
+    words = images.lookup(keys, contexts)
+    far = np.flatnonzero(words >= _FAR)
     for lo in range(0, len(far), _SLICE):
         part = far[lo : lo + _SLICE]
         distinct, inverse = np.unique(
             _add_fields(keys[part], _NEGATIONS[contexts[part]]), return_inverse=True
         )
-        values[part], distances[part], ambiguous[part] = _row_decode(distinct, images)[:, inverse]
-    return values, distances, ambiguous
+        words[part] = _row_decode(distinct, images)[inverse]
+    return words
 
 
 def _decode_stream(
     keys: np.ndarray, breaks, prev_codes, images: CandidateImages
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, int]:
     """Decode streams of received windows, held back to back as packed
     keys, window by window with context chaining. A stream starts at
     each window position in ``breaks``, ascending from 0, after the base
     code at the same place in ``prev_codes``.
 
-    Returns (byte values, per-window DNA distances, per-window ambiguous
-    flags, final corrected base code of the last stream).
+    Returns (one answer word per window, final corrected base code of the
+    last stream).
 
     A window's context is the last base of its corrected predecessor in
     its stream. Round one looks every window up in the ball table under
@@ -484,52 +485,46 @@ def _decode_stream(
     np.bitwise_and(keys, 3, out=contexts[1:], casting="unsafe")
     contexts[breaks] = prev_codes
     last = (images.image_keys & 3).astype(np.uint8)
-    values, distances = np.empty((2, n), dtype=np.uint8)
-    ambiguous = np.empty(n, dtype=bool)
-    hit = np.empty(n, dtype=bool)  # apart, so the results do not hold it
+    words = np.empty(n, dtype=np.uint16)
     for lo in range(0, n, _LOOKUP_BLOCK):
         block = slice(lo, min(n, lo + _LOOKUP_BLOCK))
-        values[block], distances[block], ambiguous[block], hit[block] = images.lookup(
-            keys[block], contexts[block]
-        )
+        words[block] = images.lookup(keys[block], contexts[block])
     tails = np.subtract(breaks[1:], 1)  # the last window of every stream but the last
-    todo = np.flatnonzero(distances)
-    hit = hit[todo]
+    todo = np.flatnonzero(words >= 1 << _SHIFT)
+    hit = words[todo] < _FAR
     while todo.size:
         ctx = contexts[todo]
         # the places in todo of stream tails, whose last base is no context
         ending = np.searchsorted(todo, tails)
         ending = ending[todo.take(ending, mode="clip") == tails]
-        moves = hit & (((last[values[todo]] + ctx) & 3) != contexts[todo + 1])
+        moves = hit & (((last[words[todo] & 0xFF] + ctx) & 3) != contexts[todo + 1])
         moves[ending] = False
         run = ~hit
         run[1:] &= ~(moves[:-1] & (np.diff(todo) == 1))
         rows = todo[run]
         if rows.size:
-            values[rows], distances[rows], ambiguous[rows] = _batched_min_stats(
-                keys[rows], ctx[run], images
-            )
-        moves[run] = ((last[values[rows]] + ctx[run]) & 3) != contexts[rows + 1]
+            words[rows] = _batched_min_stats(keys[rows], ctx[run], images)
+        moves[run] = ((last[words[rows] & 0xFF] + ctx[run]) & 3) != contexts[rows + 1]
         moves[ending] = False
         todo = todo[moves]
-        contexts[todo + 1] = (last[values[todo]] + contexts[todo]) & 3
+        contexts[todo + 1] = (last[words[todo] & 0xFF] + contexts[todo]) & 3
         todo = todo[todo < n - 1] + 1
-        values[todo], distances[todo], ambiguous[todo], hit = images.lookup(
-            keys[todo], contexts[todo]
-        )
-    return values, distances, ambiguous, int(contexts[n])
+        words[todo] = images.lookup(keys[todo], contexts[todo])
+        hit = words[todo] < _FAR
+    return words, int(contexts[n])
 
 
 def _best_contexts(keys: np.ndarray, counts: np.ndarray, images: CandidateImages) -> np.ndarray:
     """For each stream of ``counts`` windows, held back to back in
     ``keys``, the base code under which it decodes with the lowest total
     distance, the lowest code on a tie: one :func:`_decode_stream` call
-    decodes every stream in all four contexts."""
+    decodes every stream in all four contexts, and the distance fields of
+    its answer words add up per stream."""
     bases = np.arange(len(DNA_ALPHABET))
     breaks = (np.cumsum(counts) - counts + len(keys) * bases[:, None]).ravel()
     prev_codes = np.repeat(bases, len(counts))
-    _, distances, _, _ = _decode_stream(np.tile(keys, len(bases)), breaks, prev_codes, images)
-    costs = np.add.reduceat(distances, breaks, dtype=np.int64).reshape(len(bases), -1)
+    words, _ = _decode_stream(np.tile(keys, len(bases)), breaks, prev_codes, images)
+    costs = np.add.reduceat(words >> _SHIFT, breaks, dtype=np.int64).reshape(len(bases), -1)
     return costs.argmin(axis=0)
 
 
@@ -575,15 +570,15 @@ def decode_chunk(
     images = candidate_images(codebook)
     search = prev_base is None
     prev = _best_contexts(keys, [len(keys)], images) if search else [_base_code(prev_base)]
-    values, distances, ambiguous, last = _decode_stream(keys, [0], prev, images)
+    words, last = _decode_stream(keys, [0], prev, images)
     report = ChunkDecodeReport(
         chunk_index=int(indices[0]) if record.chunk_index is None else record.chunk_index,
         file_id=int(file_ids[0]),
         parity_ok=bool(parity_ok[0]),
-        codeword_distances=distances.tolist(),
-        ambiguities=int(np.count_nonzero(ambiguous)),
+        codeword_distances=(words >> _SHIFT).tolist(),
+        ambiguities=int(np.count_nonzero(words & _AMBIGUOUS)),
     )
-    return values.tobytes(), report, DNA_ALPHABET[last]
+    return words.astype(np.uint8).tobytes(), report, DNA_ALPHABET[last]
 
 
 def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
@@ -655,7 +650,12 @@ def decode_file(
     if lost.any():
         heads = np.concatenate([keys[lo:hi] for lo, hi in zip(firsts[lost], ends[runs[lost]])])
         prev_codes[lost] = _best_contexts(heads, counts[runs[lost]], images)
-    values, distances, ambiguous, _ = _decode_stream(keys, firsts, prev_codes, images)
+    words, _ = _decode_stream(keys, firsts, prev_codes, images)
+    values = words.astype(np.uint8)
+    distances = np.right_shift(words, _SHIFT, out=np.empty_like(values), casting="unsafe")
+    # the chunk of each ambiguous window, of which there are few
+    chunk_of = np.searchsorted(ends, np.flatnonzero(words & _AMBIGUOUS), side="right")
+    del words
 
     # missing chunks stand in as zero bytes so that later content keeps its offsets
     placeholder = bytes(int(counts.max(initial=0)))
@@ -664,8 +664,6 @@ def decode_file(
     for gap, lo, hi in zip(gaps.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(keys)]):
         pieces += [placeholder * gap, values[lo:hi].tobytes()]
     stream_bytes = b"".join(pieces)
-    # the chunk of each ambiguous window, of which there are few
-    chunk_of = np.searchsorted(ends, np.flatnonzero(ambiguous), side="right")
     reports = ChunkReports(
         present,
         fid_arr[order],
@@ -728,11 +726,10 @@ def audit_substitutions(codebook: ByteCodebook, flips: int) -> AuditResult:
     cases = unique_correct = ambiguous = miscorrected = 0
     for lo in range(0, CODE_SIZE, words):
         keys = _add_fields(received[:, lo : lo + words, None], offsets)
-        values, _, flagged = _batched_min_stats(
-            keys.ravel(), np.repeat(contexts, keys[0].size), images
-        )
-        flagged = flagged.reshape(keys.shape)
-        correct = values.reshape(keys.shape) == np.arange(lo, lo + keys.shape[1])[:, None]
+        found = _batched_min_stats(keys.ravel(), np.repeat(contexts, keys[0].size), images)
+        found = found.reshape(keys.shape)
+        flagged = (found & _AMBIGUOUS) != 0
+        correct = (found & 0xFF) == np.arange(lo, lo + keys.shape[1])[:, None]
         cases += keys.size
         unique_correct += int((correct & ~flagged).sum())
         ambiguous += int(flagged.sum())

@@ -409,8 +409,18 @@ def test_malformed_arguments_are_usage_errors(tmp_path, sample_file, argv):
             "multiple of 11",
         ),
         (["construct", "--family", "27,2,1", "--out", "{out}"], "lengths above 26"),
+        (["cost-curve", "--sizes", "10", "--extension", ";", "--csv", "{out}"], "';'"),
     ],
-    ids=["simulate", "corrupt", "encode", "simulate-extension", "trials", "chunk-bases", "construct"],
+    ids=[
+        "simulate",
+        "corrupt",
+        "encode",
+        "simulate-extension",
+        "trials",
+        "chunk-bases",
+        "construct",
+        "cost-curve-extension",
+    ],
 )
 def test_argument_errors_exit_2_before_any_output(tmp_path, sample_file, capsys, argv, message):
     """A count no window can take, an extension that holds a separator
@@ -427,8 +437,9 @@ def test_argument_errors_exit_2_before_any_output(tmp_path, sample_file, capsys,
     with pytest.raises(SystemExit) as err:
         run([arg.format_map(paths) for arg in argv])
     assert err.value.code == 2
-    assert message in capsys.readouterr().err.splitlines()[-1]
-    assert not (tmp_path / "out").exists()
+    captured = capsys.readouterr()
+    assert message in captured.err.splitlines()[-1]
+    assert not captured.out and not (tmp_path / "out").exists()
 
 
 def test_cost_curve_command(tmp_path, capsys):

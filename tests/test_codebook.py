@@ -84,6 +84,23 @@ def test_load_conflicting_value_first_wins():
         load_codebook(text)  # only 2 values covered, but conflict handling ran
 
 
+def test_load_reassigns_each_displaced_codeword_once_unless_claimed(codebook):
+    """Bytes 10, 20, 30 and 40 unlisted, then six conflicting lines: the
+    codeword of 30 is displaced twice, and that of 40 is displaced and then
+    listed for byte 40. The unlisted bytes left, ascending, take the
+    displaced codewords no byte keeps, once each, in reading order."""
+    words = codebook.codewords
+    lines = [line for value, line in enumerate(book_text(codebook).splitlines())
+             if value not in (10, 20, 30, 40)]
+    for value, word in ((0, 30), (3, 40), (1, 30), (40, 40), (4, 10), (5, 20)):
+        lines.append(f"{value} {words[word]} {weight(words[word])}")
+    report = load_codebook("\n".join(lines)).load_report
+    assert report.reassigned == ((10, words[30]), (20, words[10]), (30, words[20]))
+    assert len(report.conflicts) == 5
+    with pytest.raises(CodebookError, match="byte 30 has no codeword"):
+        load_codebook("\n".join(lines[:-1]))
+
+
 def test_load_rejects_duplicate_codeword(codebook):
     text = book_text(codebook) + "\n57 00000000000 0\n"
     # value 57 is already taken, so this is a conflict, not an error...

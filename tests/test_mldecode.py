@@ -63,6 +63,11 @@ def key_rows(keys):
     return ((keys[:, None] >> 2 * np.arange(10, -1, -1)) & 3).astype(np.uint8)
 
 
+def columns(words):
+    """Answer words split into (byte values, DNA distances, ambiguous flags)."""
+    return words & 0xFF, words >> mldecode._SHIFT, (words & mldecode._AMBIGUOUS) != 0
+
+
 def corrupt(window, *flips):
     out = list(window)
     for pos, base in flips:
@@ -161,7 +166,9 @@ def test_kernel_matches_scalar_decoder(codebook):
         contexts.append("ACGT".index(prev))
         expected.append((decoded.byte_value, decoded.dna_distance, decoded.ambiguous))
     keys, contexts = _window_keys(np.array(windows)), np.array(contexts, dtype=np.uint8)
-    values, distances, ambiguous = _batched_min_stats(keys, contexts, candidate_images(codebook))
+    values, distances, ambiguous = columns(
+        _batched_min_stats(keys, contexts, candidate_images(codebook))
+    )
     got = list(zip(values.tolist(), distances.tolist(), ambiguous.tolist()))
     assert got == expected
     assert sum(amb for _, _, amb in expected) > 50
@@ -187,12 +194,12 @@ def radius_two_windows(images):
 
 
 def row_path_answers(keys, contexts, images):
-    """The kernel's row path on each key, shifted into context 'A': the
-    reference of the ball table."""
+    """The kernel's row path on each key, shifted into context 'A', as
+    answer words: the reference of the ball table."""
     distinct, inverse = np.unique(
         _add_fields(keys, mldecode._NEGATIONS[contexts]), return_inverse=True
     )
-    return _row_decode(distinct, images)[:, inverse]
+    return _row_decode(distinct, images)[inverse]
 
 
 def tied_keys(keys, images):
@@ -221,11 +228,12 @@ def check_ball_table(codebook, ties, tie_sample=None):
     windows, contexts, flips = radius_two_windows(images)
     assert len(windows) == 4 * 256 * 529
     keys = _window_keys(windows)
-    *got, placed = images.lookup(keys, contexts)
-    assert placed.all()
+    words = images.lookup(keys, contexts)
+    assert (words < mldecode._FAR).all()
     expected = row_path_answers(keys, contexts, images)
-    assert all(map(np.array_equal, got, expected))
-    assert all(map(np.array_equal, _batched_min_stats(keys, contexts, images), expected))
+    assert np.array_equal(words, expected)
+    assert np.array_equal(_batched_min_stats(keys, contexts, images), expected)
+    got = columns(words)
     assert (got[1] <= flips).all()
     assert got[2].any()
     # and no other key of the 4**11 is placed
@@ -246,7 +254,7 @@ def check_ball_table(codebook, ties, tie_sample=None):
     assert len(tied) == ties
     if tie_sample is not None:
         tied = np.array(random.Random(23).sample(tied.tolist(), tie_sample), dtype=np.uint32)
-    answers = images.lookup(tied, 0)[:3]
+    answers = columns(images.lookup(tied, 0))
     for key, answer in zip(key_rows(tied), zip(*answers)):
         decoded = decode_codeword_ml(codes_to_dna(key), "A", codebook)
         assert answer == (decoded.byte_value, decoded.dna_distance, decoded.ambiguous)
@@ -265,7 +273,7 @@ def test_lookup_table_matches_kernel_within_radius_two(codebook):
     assert images.ball_cells.shape == (16, 7083)
     cells_placed = np.count_nonzero(images.ball_cells != mldecode._FAR, axis=0)
     assert cells_placed[images.ball_blocks].sum() == 133716
-    cells_ambiguous = np.count_nonzero(images.ball_cells >= 1 << 10, axis=0)
+    cells_ambiguous = np.count_nonzero(images.ball_cells & mldecode._AMBIGUOUS, axis=0)
     assert cells_ambiguous[images.ball_blocks].sum() == 673
     assert not ambiguous[flips < 2].any()
 
@@ -292,13 +300,15 @@ def test_ball_table_leaves_every_farther_window_to_the_row_path(book, request):
     windows = np.concatenate([three, rng.integers(0, 4, (20000, 11), dtype=np.uint8)])
     contexts = np.concatenate([three_contexts, rng.integers(0, 4, 20000, dtype=np.uint8)])
     keys = _window_keys(windows)
-    *got, placed = images.lookup(keys, contexts)
-    expected = row_path_answers(keys, contexts, images)
+    words = images.lookup(keys, contexts)
+    placed, got = words < mldecode._FAR, columns(words)
+    answers = row_path_answers(keys, contexts, images)
+    expected = columns(answers)
     assert np.array_equal(placed, expected[1] <= 2)
     assert 0 < placed.mean() < 1
     assert all(np.array_equal(column[placed], want[placed]) for column, want in zip(got, expected))
     assert (got[1][~placed] == 3).all() and not got[2][~placed].any()
-    assert all(map(np.array_equal, _batched_min_stats(keys, contexts, images), expected))
+    assert np.array_equal(_batched_min_stats(keys, contexts, images), answers)
 
 
 @pytest.mark.parametrize("book", ["codebook", "lexicode"])
@@ -313,7 +323,7 @@ def test_kernel_matches_scalar_reference_on_flips(book, request):
     assert len(values) == 16
     one, two = (flipped_windows(images, flips, values) for flips in (1, 2))
     windows, contexts = np.concatenate([one[0], two[0]]), np.concatenate([one[1], two[1]])
-    got = _batched_min_stats(_window_keys(windows), contexts, images)
+    got = columns(_batched_min_stats(_window_keys(windows), contexts, images))
     expected = []
     for window, context in zip(windows, contexts):
         decoded = decode_codeword_ml(codes_to_dna(window), "ACGT"[context], codebook)
@@ -331,8 +341,8 @@ def test_kernel_tie_between_first_and_last_byte(lexicode):
     distances = (images != dna_codes(window)).sum(axis=1)
     assert np.flatnonzero(distances == distances.min()).tolist() == [0, 255]
     decoded = decode_codeword_ml(window, "A", lexicode)
-    values, dna_distances, ambiguous = _batched_min_stats(
-        _window_keys(dna_codes(window)[None]), 0, candidate_images(lexicode)
+    values, dna_distances, ambiguous = columns(
+        _batched_min_stats(_window_keys(dna_codes(window)[None]), 0, candidate_images(lexicode))
     )
     assert (values[0], dna_distances[0], ambiguous[0]) == (
         decoded.byte_value, decoded.dna_distance, decoded.ambiguous
@@ -348,8 +358,8 @@ def test_kernel_runner_up_one_base_farther_with_lower_index(lexicode):
     distances = (images != dna_codes(window)).sum(axis=1)
     assert np.flatnonzero(distances == distances.min()).tolist() == [255]
     assert distances[0] == distances.min() + 1
-    values, dna_distances, ambiguous = _batched_min_stats(
-        _window_keys(dna_codes(window)[None]), 0, candidate_images(lexicode)
+    values, dna_distances, ambiguous = columns(
+        _batched_min_stats(_window_keys(dna_codes(window)[None]), 0, candidate_images(lexicode))
     )
     assert (values[0], dna_distances[0], ambiguous[0]) == (255, 2, False)
     decoded = decode_codeword_ml(window, "A", lexicode)
@@ -381,8 +391,10 @@ def test_every_table_hit_agrees_with_kernel(codebook, cases):
             for pos, off in flips:
                 windows[row, pos] = (windows[row, pos] + off) & 3
     keys = _window_keys(windows)
-    values, distances, ambiguous, hits = images.lookup(keys, contexts)
-    kernel = _batched_min_stats(keys, contexts, images)
+    words = images.lookup(keys, contexts)
+    hits = words < mldecode._FAR
+    values, distances, ambiguous = columns(words)
+    kernel = columns(_batched_min_stats(keys, contexts, images))
     assert np.array_equal(hits, kernel[1] <= 2)
     assert all(np.array_equal(got[hits], want[hits]) for got, want in zip(
         (values, distances, ambiguous), kernel
@@ -413,11 +425,11 @@ def test_kernel_shares_each_distinct_shifted_key_across_slices(codebook):
     keys = _add_fields(np.tile(_window_keys(shifted), 4), contexts * np.uint32(mldecode._FIELDS))
     order = rng.permutation(len(keys))
     keys, contexts = keys[order], contexts[order]
-    assert np.count_nonzero(~images.lookup(keys, contexts)[3]) > mldecode._SLICE
+    assert np.count_nonzero(images.lookup(keys, contexts) >= mldecode._FAR) > mldecode._SLICE
 
-    got = list(zip(*(column.tolist() for column in _batched_min_stats(keys, contexts, images))))
+    got = list(zip(*(c.tolist() for c in columns(_batched_min_stats(keys, contexts, images)))))
     alone = [
-        tuple(column[0] for column in _batched_min_stats(key[None], 0, images))
+        tuple(column[0] for column in columns(_batched_min_stats(key[None], 0, images)))
         for key in _window_keys(shifted)
     ]
     assert got == [alone[row] for row in (order % len(shifted)).tolist()]
@@ -464,14 +476,14 @@ def test_kernel_call_within_the_ball_runs_no_sort(codebook, monkeypatch):
     keys = _add_fields(images.image_keys[:3], np.array([0, 1, 5], dtype=np.uint32))
     contexts = np.array([0, 1, 2], dtype=np.uint8)
     keys = _add_fields(keys, contexts * np.uint32(mldecode._FIELDS))
-    expected = [tuple(column) for column in zip(*row_path_answers(keys, contexts, images))]
+    expected = list(zip(*columns(row_path_answers(keys, contexts, images))))
 
     def refuse(*args, **kwargs):
         raise AssertionError("the kernel sorted or summed rows")
 
     monkeypatch.setattr(np, "unique", refuse)
     monkeypatch.setattr(mldecode, "_row_decode", refuse)
-    got = _batched_min_stats(keys, contexts, images)
+    got = columns(_batched_min_stats(keys, contexts, images))
     assert list(zip(*got)) == expected
     assert list(got[0]) == [0, 1, 2] and list(got[1]) == [0, 1, 2]
 
@@ -492,8 +504,7 @@ def test_kernel_alone_gives_the_pinned_audits(book, pinned, request):
     images = candidate_images(request.getfixturevalue(book))
     for flips, expected in zip((1, 2), pinned):
         windows, contexts = flipped_windows(images, flips)
-        values, _, ambiguous = row_path_answers(_window_keys(windows), contexts, images)
-        ambiguous = ambiguous.astype(bool)
+        values, _, ambiguous = columns(row_path_answers(_window_keys(windows), contexts, images))
         correct = values == np.tile(np.repeat(np.arange(256), len(_flip_offsets(flips))), 4)
         assert AuditResult(
             len(values),
@@ -850,7 +861,7 @@ def test_decode_file_break_after_a_window_the_table_corrects_in_its_last_base(co
     # the window after the gap is a table miss under its true context
     images = candidate_images(codebook)
     context = np.array([BASE_INDEX[records[3].payload_dna[-1]]], dtype=np.uint8)
-    assert not images.lookup(_window_keys(dna_codes(window)[None]), context)[3][0]
+    assert images.lookup(_window_keys(dna_codes(window)[None]), context)[0] >= mldecode._FAR
 
     result = decode_file(records[:3] + records[4:], codebook)
     expected, reports = _chunk_by_chunk(records, {3}, codebook)
@@ -900,7 +911,10 @@ def test_batched_context_search_matches_one_call_per_context(codebook, seed, rat
     expected = []
     for hi, count in zip(np.cumsum(counts), counts):
         chunk = keys[hi - count : hi]
-        costs = [int(mldecode._decode_stream(chunk, [0], [b], images)[1].sum()) for b in range(4)]
+        costs = [
+            int(columns(mldecode._decode_stream(chunk, [0], [b], images)[0])[1].sum())
+            for b in range(4)
+        ]
         expected.append(costs.index(min(costs)))
     assert mldecode._best_contexts(keys, counts, images).tolist() == expected
 
