@@ -17,12 +17,11 @@ from .chunks import (
     ChunkBatch,
     ChunkRecord,
     DEFAULT_CHUNK_BASES,
-    FILE_ID_TRITS,
     FileDescriptor,
-    _check_chunk_bases,
     _check_extension,
+    _layout,
+    _trailer,
     encode_file,
-    mu_for_segments,
 )
 from .codebook import CODEWORD_LENGTH, ByteCodebook
 from .mldecode import decode_file
@@ -349,19 +348,16 @@ def count_record_bases(
     """Total bases emitted for a file of the given size, headers included.
 
     Pure arithmetic mirror of the encoder: content plus trailer
-    codewords, chunked, plus (3 + mu) header bases per chunk. Raises
-    :class:`ChunkError` for an extension or a chunk size that the encoder
-    rejects.
+    codewords, laid out in chunks as the encoder lays them, plus a header
+    per chunk. Raises :class:`ChunkError` for an extension or a chunk
+    size that the encoder rejects.
     """
     _check_extension(extension)
-    _check_chunk_bases(chunk_bases)
     if size_bytes < 0:
         raise ValueError("size must be >= 0")
-    codewords = size_bytes + 1 + len(str(size_bytes)) + 1 + len(extension) + 1
-    payload = codewords * CODEWORD_LENGTH
-    segments = max(1, -(-payload // chunk_bases))
-    mu = mu_for_segments(segments)
-    return payload + segments * (FILE_ID_TRITS + mu + 1)
+    codewords = size_bytes + len(_trailer(size_bytes, extension))
+    count, width = _layout(codewords, chunk_bases)
+    return codewords * CODEWORD_LENGTH + count * width
 
 
 def cost_curve(

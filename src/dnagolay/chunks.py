@@ -56,6 +56,7 @@ FILE_ID_TRITS = 2
 MAX_FILE_ID = 3**FILE_ID_TRITS - 1
 SIZE_SEPARATOR = ";"
 EXTENSION_SEPARATOR = ","
+_SEPARATORS = frozenset(SIZE_SEPARATOR + EXTENSION_SEPARATOR)  # no extension holds one
 FASTA_LINE_WIDTH = 80
 
 _ORD_ZERO = ord("0")
@@ -285,17 +286,18 @@ class ChunkBatch(_Columns):
         parity_ok False, matching best-effort recovery of damaged headers.
         A record shorter than its header has no header to read: every
         position is unreadable, so it reads as file 0, chunk 0, parity False.
-        A header wider than ``_MAX_HEADER_WIDTH`` is not read, as its index
-        would overflow int64: it reads as file 0, chunk -1, parity False.
+        A header of no bases, or wider than ``_MAX_HEADER_WIDTH``, whose
+        index would overflow int64, is not read: it reads as file 0, chunk
+        -1, parity False.
         """
         file_ids, indices = np.empty((2, len(self)), dtype=np.int64)
         parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
         short = self.lengths < widths
-        wide = widths > _MAX_HEADER_WIDTH
-        file_ids[wide], indices[wide], parity_ok[wide] = 0, -1, False
+        unread = (widths < 1) | (widths > _MAX_HEADER_WIDTH)
+        file_ids[unread], indices[unread], parity_ok[unread] = 0, -1, False
         # the widths by np.bincount, as np.unique loads numpy.ma
-        for width in np.flatnonzero(np.bincount(widths[~wide])).tolist():
+        for width in np.flatnonzero(np.bincount(widths[~unread])).tolist():
             ids = min(FILE_ID_TRITS, width - 1)
             records = np.flatnonzero(widths == width)
             columns = np.arange(width)[:, None]
@@ -332,14 +334,36 @@ def mu_for_segments(segment_count: int) -> int:
     return mu
 
 
+def _trailer(size: int, extension: str) -> bytes:
+    """The ``;<size>,<extension>;`` trailer that follows the content in
+    the payload, one byte per codeword; :func:`split_payload_stream`
+    reads it."""
+    trailer = f"{SIZE_SEPARATOR}{size}{EXTENSION_SEPARATOR}{extension}{SIZE_SEPARATOR}"
+    return trailer.encode("latin-1")
+
+
+def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
+    """Split a decoded payload stream into (content, declared size,
+    extension, ok), reading the :func:`_trailer` from the end: the final
+    ';', the ',' before it, the digits and the opening ';'. The content,
+    which may hold any bytes, is cut to the declared size. ok is whether
+    the trailer ends the stream and its extension is one the writer
+    accepts, with no separator."""
+    # each separator is sought before the one after it; one not found (-1) leaves none before it
+    end = stream.rfind(SIZE_SEPARATOR.encode())
+    comma = stream.rfind(EXTENSION_SEPARATOR.encode(), 0, max(end, 0))
+    opens = stream.rfind(SIZE_SEPARATOR.encode(), 0, max(comma, 0))
+    digits = stream[opens + 1 : comma]
+    if opens == -1 or not digits.isdigit():
+        return stream, None, "", False
+    size, extension = int(digits), stream[comma + 1 : end].decode("latin-1")
+    ok = end == len(stream) - 1 and _SEPARATORS.isdisjoint(extension)
+    return stream[: min(opens, size)], size, extension, ok
+
+
 def _payload_values(fd: FileDescriptor) -> np.ndarray:
-    """Byte values of the content followed by the ``;<size>,<extension>;``
-    trailer, one per payload codeword."""
-    trailer = (
-        f"{SIZE_SEPARATOR}{fd.size_bytes}{EXTENSION_SEPARATOR}"
-        f"{fd.extension}{SIZE_SEPARATOR}"
-    )
-    return np.frombuffer(fd.content + trailer.encode("latin-1"), dtype=np.uint8)
+    """Byte values of the content followed by the trailer, one per payload codeword."""
+    return np.frombuffer(fd.content + _trailer(fd.size_bytes, fd.extension), dtype=np.uint8)
 
 
 def build_payload_trits(fd: FileDescriptor, codebook: ByteCodebook) -> str:
@@ -352,16 +376,21 @@ def _check_extension(extension: str):
     for ch in extension:
         if ord(ch) > 255:
             raise ChunkError(f"extension character {ch!r} is not a byte")
-        if ch in (SIZE_SEPARATOR, EXTENSION_SEPARATOR):
+        if ch in _SEPARATORS:
             raise ChunkError(f"extension must not contain {ch!r}")
 
 
-def _check_chunk_bases(chunk_bases: int):
+def _layout(codewords: int, chunk_bases: int) -> tuple[int, int]:
+    """(chunk count, header width) of a payload of ``codewords`` codewords
+    cut into chunks of ``chunk_bases`` bases. Raises :class:`ChunkError`
+    for a chunk size that is not a positive multiple of 11."""
     if chunk_bases < CODEWORD_LENGTH or chunk_bases % CODEWORD_LENGTH:
         raise ChunkError(
             f"chunk size must be a positive multiple of {CODEWORD_LENGTH}, "
             f"got {chunk_bases}"
         )
+    count = -(-codewords // (chunk_bases // CODEWORD_LENGTH))
+    return count, FILE_ID_TRITS + mu_for_segments(count) + 1
 
 
 def _header_values(file_id: int, indices, mu: int) -> np.ndarray:
@@ -418,12 +447,10 @@ def encode_file(
     Full records are rows of one matrix; per block of them, each
     codeword's image is gathered whole into its place in the rows.
     """
-    _check_chunk_bases(chunk_bases)
     values = _payload_values(fd)
+    count, width = _layout(len(values), chunk_bases)
     words = chunk_bases // CODEWORD_LENGTH
-    count = -(-len(values) // words)
-    mu = mu_for_segments(count)
-    width = FILE_ID_TRITS + mu + 1
+    mu = width - FILE_ID_TRITS - 1
     full, rest = divmod(len(values), words)
     ends = np.arange(1, count + 1) * (chunk_bases + width)
     ends[-1] -= (words - (rest or words)) * CODEWORD_LENGTH

@@ -54,13 +54,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .chunks import (
-    _Columns,
-    ChunkBatch,
-    ChunkRecord,
-    EXTENSION_SEPARATOR,
-    SIZE_SEPARATOR,
-)
+from .chunks import _Columns, ChunkBatch, ChunkRecord, split_payload_stream
 from .codebook import CODE_SIZE, CODEWORD_LENGTH, ByteCodebook
 from .ternary import DNA_ALPHABET
 from .transcode import (
@@ -489,28 +483,28 @@ def _decode_stream(
     for lo in range(0, n, _LOOKUP_BLOCK):
         block = slice(lo, min(n, lo + _LOOKUP_BLOCK))
         words[block] = images.lookup(keys[block], contexts[block])
-    tails = np.subtract(breaks[1:], 1)  # the last window of every stream but the last
+    # free[k]: window k takes its context from window k-1, as no stream starts at it
+    free = np.ones(n + 1, dtype=bool)
+    free[breaks] = False
+
+    def moved(rows, ctx):  # whether the answers of rows change the context of a free successor
+        return free[rows + 1] & (((last[words[rows] & 0xFF] + ctx) & 3) != contexts[rows + 1])
+
     todo = np.flatnonzero(words >= 1 << _SHIFT)
-    hit = words[todo] < _FAR
     while todo.size:
         ctx = contexts[todo]
-        # the places in todo of stream tails, whose last base is no context
-        ending = np.searchsorted(todo, tails)
-        ending = ending[todo.take(ending, mode="clip") == tails]
-        moves = hit & (((last[words[todo] & 0xFF] + ctx) & 3) != contexts[todo + 1])
-        moves[ending] = False
+        hit = words[todo] < _FAR
+        moves = hit & moved(todo, ctx)
         run = ~hit
         run[1:] &= ~(moves[:-1] & (np.diff(todo) == 1))
         rows = todo[run]
         if rows.size:
             words[rows] = _batched_min_stats(keys[rows], ctx[run], images)
-        moves[run] = ((last[words[rows] & 0xFF] + ctx[run]) & 3) != contexts[rows + 1]
-        moves[ending] = False
+        moves[run] = moved(rows, ctx[run])
         todo = todo[moves]
         contexts[todo + 1] = (last[words[todo] & 0xFF] + contexts[todo]) & 3
         todo = todo[todo < n - 1] + 1
         words[todo] = images.lookup(keys[todo], contexts[todo])
-        hit = words[todo] < _FAR
     return words, int(contexts[n])
 
 
@@ -579,29 +573,6 @@ def decode_chunk(
         ambiguities=int(np.count_nonzero(words & _AMBIGUOUS)),
     )
     return words.astype(np.uint8).tobytes(), report, DNA_ALPHABET[last]
-
-
-def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
-    """Split a decoded byte stream into (content, declared size, extension, ok).
-
-    The trailer is parsed from the end: the final ';', the ',' before
-    it, the digits, and the opening ';'. Content may contain any bytes;
-    extensions must not contain the separator characters (enforced at
-    encode time), which keeps the parse unambiguous.
-    """
-    end = stream.rfind(SIZE_SEPARATOR.encode())
-    if end == -1:
-        return stream, None, "", False
-    comma = stream.rfind(EXTENSION_SEPARATOR.encode(), 0, end)
-    if comma == -1:
-        return stream, None, "", False
-    opens = stream.rfind(SIZE_SEPARATOR.encode(), 0, comma)
-    digits = stream[opens + 1 : comma]
-    if opens == -1 or not digits.isdigit():
-        return stream, None, "", False
-    extension = stream[comma + 1 : end].decode("latin-1")
-    ok = end == len(stream) - 1
-    return stream[:opens], int(digits), extension, ok
 
 
 def decode_file(
@@ -674,8 +645,6 @@ def decode_file(
     )
 
     content, declared_size, extension, trailer_ok = split_payload_stream(stream_bytes)
-    if declared_size is not None and len(content) > declared_size:
-        content = content[:declared_size]
     return DecodeResult(
         content=content,
         extension=extension,

@@ -331,6 +331,10 @@ def test_count_record_bases_matches_encoder(codebook):
             records = encode_file(fd, codebook, chunk_bases)
             actual = sum(rec.total_length for rec in records)
             assert count_record_bases(size, ext, chunk_bases) == actual
+    # an extension of non-ASCII bytes takes one codeword per character
+    for chunk_bases in (11, 99, 990):
+        records = encode_file(FileDescriptor(bytes(5), "été"), codebook, chunk_bases)
+        assert count_record_bases(5, "été", chunk_bases) == int(records.ends[-1])
     # the chunk sizes that encode_file rejects price no layout either
     for chunk_bases in (0, 50, 100):
         with pytest.raises(ChunkError):

@@ -820,9 +820,9 @@ def literal_header_reading(header_dna):
     """(file id, index, parity ok) of a header read by definition: of
     the trits before the parity trit, the first two give the file id and
     the rest the index, each in base 3; a repeated base reads 0 and fails
-    parity. A header of more than 42 bases, whose index of more than 39
-    trits int64 cannot hold, is not read: (0, -1, False)."""
-    if len(header_dna) > 42:
+    parity. A header of no bases, or of more than 42, whose index of more
+    than 39 trits int64 cannot hold, is not read: (0, -1, False)."""
+    if not 0 < len(header_dna) <= 42:
         return 0, -1, False
     trits = read_trits(header_dna)
     digits = [int(t) % 3 for t in trits]
@@ -837,7 +837,7 @@ def test_decoded_headers_of_tiny_and_wide_headers():
         for width in (1, 2, 3, 40, 41, 42, 43, 90)
         for _ in range(3)
     ]
-    headers += ["AA", "CCTA"]
+    headers += ["AA", "CCTA", ""]
     file_ids, indices, parity_ok = ChunkBatch.of(
         [ChunkRecord("AC", header) for header in headers]
     ).decoded_headers()

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -628,6 +629,17 @@ def test_split_payload_stream_damaged():
     assert not ok and size is None
 
 
+def test_split_payload_stream_rejects_a_separator_in_the_extension():
+    """No extension the writer accepts holds ';', so a trailer that ends
+    in two is not one the encoder wrote; content and size read as they are."""
+    assert split_payload_stream(b"abc;3,x;;") == (b"abc", 3, "x;", False)
+
+
+def test_split_payload_stream_cuts_content_to_the_declared_size():
+    assert split_payload_stream(b"abcdef;3,x;") == (b"abc", 3, "x", True)
+    assert split_payload_stream(b"ab;3,x;") == (b"ab", 3, "x", True)
+
+
 # --- whole-file decoding -----------------------------------------------------------
 
 def test_decode_file_round_trip(codebook):
@@ -1002,6 +1014,35 @@ def test_blocked_decode_and_iteration_match_one_block(codebook, monkeypatch):
     for items in (records, parsed, reports):
         assert len(items) > 3 * 4
         assert list(items) == [items[i] for i in range(len(items))]
+
+
+def test_decode_file_sets_aside_a_record_with_no_header(codebook):
+    """A header of no bases is not read, so its record has no index to
+    take and is set aside; the file decodes from the others."""
+    records = [*encode_file(FileDescriptor(b"abc", "x"), codebook), ChunkRecord("ACGTACGTACG", "")]
+    result = decode_file(records, codebook)
+    assert result.set_aside == [len(records) - 1]
+    assert result.content == b"abc" and result.fully_recovered
+
+
+def test_decode_outputs_are_pinned(codebook):
+    """One digest of decode_file's outputs over 24 decodes: random 1,000 B
+    and 64 KiB files under three count and three rate channels, at channel
+    seeds 1 and 2. A change that alters decode outputs on purpose updates
+    the digest and says why."""
+    digest = hashlib.sha256()
+    for size in (1000, 1 << 16):
+        records = encode_file(FileDescriptor(np.random.default_rng(size).bytes(size), "bin"), codebook)
+        for channel in ("count:1", "count:2", "count:3", "rate:1e-3", "rate:1e-2", "rate:0.1"):
+            for seed in (1, 2):
+                noisy = corrupt_records(records, ChannelSpec.parse(channel, seed))
+                result = decode_file(noisy, codebook)
+                fields = (result.content, result.extension, result.size_bytes, result.trailer_ok)
+                fields += (result.set_aside, result.unrecoverable_chunks)
+                reports = result.per_chunk
+                fields += (reports.codeword_distances.tobytes(), reports.parity_ok.tobytes())
+                digest.update(repr(fields).encode())
+    assert digest.hexdigest() == "adecdff3f93d4ea766657d54d89f4994ed7773d0b3662530562d5f3685d84767"
 
 
 def test_decode_file_empty_input(codebook):
