@@ -64,7 +64,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.9.3"
+__version__ = "0.9.4"
 
 __all__ = [
     "AlphabetError",

@@ -284,18 +284,17 @@ class ChunkBatch(_Columns):
 
         Unreadable positions (repeated bases) read as trit 0 and force
         parity_ok False, matching best-effort recovery of damaged headers.
-        A record shorter than its header has no header to read: every
-        position is unreadable, so it reads as file 0, chunk 0, parity False.
-        A header of no bases, or wider than ``_MAX_HEADER_WIDTH``, whose
-        index would overflow int64, is not read: it reads as file 0, chunk
-        -1, parity False.
+        A header that is not there to read is not read: one of no bases,
+        one longer than its record, or one wider than ``_MAX_HEADER_WIDTH``,
+        whose index would overflow int64. It reads as file 0, chunk -1,
+        parity False.
         """
         file_ids, indices = np.empty((2, len(self)), dtype=np.int64)
         parity_ok = np.empty(len(self), dtype=bool)
         widths = self.header_widths
-        short = self.lengths < widths
-        unread = (widths < 1) | (widths > _MAX_HEADER_WIDTH)
+        unread = (widths < 1) | (widths > _MAX_HEADER_WIDTH) | (widths > self.lengths)
         file_ids[unread], indices[unread], parity_ok[unread] = 0, -1, False
+        widths = np.where(unread, 0, widths)  # no header is gathered at width 0
         # the widths by np.bincount, as np.unique loads numpy.ma
         for width in np.flatnonzero(np.bincount(widths[~unread])).tolist():
             ids = min(FILE_ID_TRITS, width - 1)
@@ -306,7 +305,6 @@ class ChunkBatch(_Columns):
                 headers = self.codes.take(columns + (self.ends[block] - width), mode="clip")
                 trits = decode_rows(headers.T, BASE_INDEX[DEFAULT_PREV_BASE]).T
                 unreadable = trits == 3
-                unreadable |= short[block]
                 trits[unreadable] = 0
                 file_ids[block], indices[block] = _horner(trits[:ids]), _horner(trits[ids:-1])
                 parity = trits[:-1:2].sum(axis=0, dtype=np.uint8) % 3
@@ -346,18 +344,19 @@ def split_payload_stream(stream: bytes) -> tuple[bytes, int | None, str, bool]:
     """Split a decoded payload stream into (content, declared size,
     extension, ok), reading the :func:`_trailer` from the end: the final
     ';', the ',' before it, the digits and the opening ';'. The content,
-    which may hold any bytes, is cut to the declared size. ok is whether
-    the trailer ends the stream and its extension is one the writer
-    accepts, with no separator."""
+    which may hold any bytes, is cut to the declared size. A size of more
+    than 18 digits, beyond any file, is no trailer. ok is whether the
+    stream ends with the bytes ``_trailer`` writes for that size and an
+    extension with no separator."""
     # each separator is sought before the one after it; one not found (-1) leaves none before it
     end = stream.rfind(SIZE_SEPARATOR.encode())
     comma = stream.rfind(EXTENSION_SEPARATOR.encode(), 0, max(end, 0))
     opens = stream.rfind(SIZE_SEPARATOR.encode(), 0, max(comma, 0))
     digits = stream[opens + 1 : comma]
-    if opens == -1 or not digits.isdigit():
+    if opens == -1 or not digits.isdigit() or len(digits) > 18:
         return stream, None, "", False
     size, extension = int(digits), stream[comma + 1 : end].decode("latin-1")
-    ok = end == len(stream) - 1 and _SEPARATORS.isdisjoint(extension)
+    ok = stream[opens:] == _trailer(size, extension) and _SEPARATORS.isdisjoint(extension)
     return stream[: min(opens, size)], size, extension, ok
 
 

@@ -366,14 +366,14 @@ def decode_codeword_ml(
     Total function: always returns the best candidate; decode quality is
     conveyed through the distances and the ambiguous flag. This is the
     scalar reference of :func:`_batched_min_stats`: it encodes the
-    candidate images in the given context rather than shifting them.
+    codebook's words in the given context, sharing no state with it.
     """
     if len(window) != CODEWORD_LENGTH:
         raise ValueError(
             f"window must have length {CODEWORD_LENGTH}, got {len(window)}"
         )
     prev_code = _base_code(prev_base)
-    words = candidate_images(codebook).words
+    words = codebook.as_array()
     images = encode_rows(words, prev_code)
     received = dna_codes(window)
     dists = (images != received).sum(axis=1)
@@ -589,8 +589,8 @@ def decode_file(
     file id, else its first. All other records are listed in
     ``set_aside`` by input position, ascending. Missing chunks are
     reported and stand in as zero bytes so later content keeps its
-    offsets. Never raises on records that parse: with none that fits,
-    the result is empty, file id 0, and every record is set aside.
+    offsets. Never raises: with no record that fits, the result is
+    empty, file id 0, and every record is set aside.
     """
     batch = ChunkBatch.of(records)
     fits = batch.whole_windows

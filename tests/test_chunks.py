@@ -464,9 +464,9 @@ def test_decode_file_sets_aside_records_with_no_payload(codebook):
 
 @pytest.mark.parametrize("place", [0, 5])
 def test_a_record_shorter_than_its_header_reads_no_header(codebook, place):
-    """A 2-base record has no header to read: it reads as file 0, chunk
-    0 with parity False, not from the bases of the record before it (or,
-    first, from the end of the codes), and decode_file sets it aside."""
+    """A 2-base record has no header to read: it reads as not read, file
+    0, chunk -1 with parity False, not from the bases of the record before
+    it (or, first, from the end of the codes), and decode_file sets it aside."""
     fd = FileDescriptor(np.random.default_rng(0).bytes(1000), extension="bin")
     records = encode_file(fd, codebook)
     titles = emit_fasta(records).split(">")[1:]
@@ -474,15 +474,23 @@ def test_a_record_shorter_than_its_header_reads_no_header(codebook, place):
     parsed = parse_fasta(text)
     assert parsed.lengths[place] == 2 < parsed.header_widths[place]
     file_ids, indices, parity_ok = parsed.decoded_headers()
-    assert (file_ids[place], indices[place], parity_ok[place]) == (0, 0, False)
+    assert (file_ids[place], indices[place], parity_ok[place]) == (0, -1, False)
     assert np.delete(parity_ok, place).all()
-    assert f">f0_c0 len=2\nAC\n>f0_c{place} len=" in emit_fasta(parsed)
+    assert f">f0_c-1 len=2\nAC\n>f0_c{place} len=" in emit_fasta(parsed)
     result = decode_file(parsed, codebook)
     assert result.set_aside == [place] and result.content == fd.content
     # codes shorter than the header width
     assert [column.tolist() for column in parse_fasta(">a\nAC\n").decoded_headers()] == [
-        [0], [0], [False]
+        [0], [-1], [False]
     ]
+    # records of no bases and no codes at all: nothing is gathered
+    batch = ChunkBatch(np.empty(0, np.uint8), [0, 0], [3, 3])
+    assert [column.tolist() for column in batch.decoded_headers()] == [
+        [0, 0], [-1, -1], [False, False]
+    ]
+    assert emit_fasta(batch) == ">f0_c-1 len=0\n>f0_c-1 len=0\n"
+    result = decode_file(batch, codebook)
+    assert (result.content, result.set_aside, len(result.per_chunk)) == (b"", [0, 1], 0)
 
 
 def test_a_header_too_wide_for_int64_is_not_read(codebook, monkeypatch):

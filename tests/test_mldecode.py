@@ -16,7 +16,7 @@ from dnagolay.chunks import (
     encode_file,
     parse_fasta,
 )
-from dnagolay.codebook import CodeFamilySpec, greedy_construct, load_codebook
+from dnagolay.codebook import ByteCodebook, CodeFamilySpec, greedy_construct, load_codebook
 from dnagolay.mldecode import (
     AuditResult,
     DecodeError,
@@ -147,6 +147,20 @@ def test_single_substitutions_sampled(codebook):
         assert decoded.byte_value == value
         assert decoded.dna_distance == 1
         assert not decoded.ambiguous
+
+
+def test_scalar_reference_builds_no_kernel(codebook, monkeypatch):
+    """The scalar reference reads the codebook's own words, so it decodes
+    a window for a codebook with no kernel cached while none can be built."""
+    def refuse(_):
+        raise AssertionError("the scalar reference built the kernel's images")
+
+    monkeypatch.setattr(mldecode, "CandidateImages", refuse)
+    reversed_book = ByteCodebook(codebook.codewords[::-1])
+    window = list(trits_to_dna(reversed_book.encode_byte(200), "G"))
+    window[4] = next(base for base in "ACGT" if base != window[4])
+    decoded = decode_codeword_ml("".join(window), "G", reversed_book)
+    assert (decoded.byte_value, decoded.dna_distance, decoded.ambiguous) == (200, 1, False)
 
 
 def test_kernel_matches_scalar_decoder(codebook):
@@ -640,6 +654,68 @@ def test_split_payload_stream_cuts_content_to_the_declared_size():
     assert split_payload_stream(b"ab;3,x;") == (b"ab", 3, "x", True)
 
 
+def test_split_payload_stream_reads_only_the_writers_trailer():
+    """ok holds only for bytes _trailer writes: no leading zero. A size
+    of more than 18 digits is no trailer; 18 digits are one."""
+    assert split_payload_stream(b"ab;003,x;") == (b"ab", 3, "x", False)
+    assert split_payload_stream(b"ab;0,x;") == (b"", 0, "x", True)
+    assert split_payload_stream(b"ab;" + b"9" * 18 + b",x;") == (b"ab", 10**18 - 1, "x", True)
+    long = b"ab;" + b"9" * 19 + b",x;"
+    assert split_payload_stream(long) == (long, None, "", False)
+
+
+# extensions the writer accepts: latin-1 characters but the separators
+extensions = st.text(st.characters(max_codepoint=255, exclude_characters=";,"), max_size=6)
+# a ';', leading zeros, a digit run of up to 5,000 digits, a ',' and bytes around them
+crafted_streams = st.builds(
+    lambda head, zeros, digits, tail: head + b";" + b"0" * zeros + b"7" * digits + b"," + tail,
+    st.binary(max_size=8),
+    st.integers(0, 3),
+    st.sampled_from([0, 1, 17, 18, 19, 4300, 4301, 5000]),
+    st.binary(max_size=8).map(lambda tail: tail + b";"),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.binary(max_size=40),
+    st.integers(0, 10**18 - 1),
+    extensions,
+    st.one_of(st.binary(max_size=60), crafted_streams),
+)
+def test_split_payload_stream_inverts_the_writer(content, size, extension, stream):
+    """The reader returns what the writer was given, for the content's
+    own size and for any other size that has a trailer; any bytes split
+    without raising; and ok means that the stream ends with the trailer
+    the writer writes for the size and extension read."""
+    chunks._check_extension(extension)
+    trailer = chunks._trailer
+    written = content + trailer(len(content), extension)
+    assert split_payload_stream(written) == (content, len(content), extension, True)
+    assert split_payload_stream(content + trailer(size, extension)) == (
+        content[:size], size, extension, True
+    )
+    got, size, extension, ok = split_payload_stream(stream)
+    assert stream.startswith(got)
+    if ok:
+        assert stream.endswith(trailer(size, extension))
+
+
+def test_a_size_of_thousands_of_digits_decodes_as_no_trailer(codebook, monkeypatch):
+    """Content of ';' and 5,000 '1's whose trailer's opening ';' decodes as
+    '1' reads a size of 5,005 digits, more than int() converts: the file
+    decodes through its FASTA text with no trailer, its stream whole."""
+    content = b";" + b"1" * 5000
+    trailer = chunks._trailer
+    with monkeypatch.context() as patch:
+        patch.setattr(chunks, "_trailer", lambda size, extension: b"1" + trailer(size, extension)[1:])
+        text = emit_fasta(encode_file(FileDescriptor(content, "x"), codebook))
+    result = decode_file(parse_fasta(text), codebook)
+    stream = content + b"1" + trailer(len(content), "x")[1:]
+    assert (result.content, result.size_bytes, result.extension) == (stream, None, "")
+    assert not result.trailer_ok and result.set_aside == []
+
+
 # --- whole-file decoding -----------------------------------------------------------
 
 def test_decode_file_round_trip(codebook):
@@ -787,6 +863,26 @@ def test_parse_and_decode_are_total(codebook, lengths, seed):
     assert batch.lengths.tolist() == lengths
     result = decode_file(batch, codebook)
     assert len(result.per_chunk) + len(result.set_aside) == len(batch)
+
+
+# a record of 0 to 5 windows and a header of 0 to 50 bases: whole windows,
+# one base more, or 3 or 60 bases fewer (no bases, or fewer than its header)
+raw_records = st.tuples(st.integers(0, 5), st.integers(0, 50), st.sampled_from([0, 1, -3, -60]))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.lists(raw_records, max_size=8), st.integers(0, 2**32 - 1))
+def test_decode_is_total_over_raw_columns(codebook, records, seed):
+    """Batches built from columns, with records of no bases, headers of no
+    bases, headers longer than their records and headers wider than 42
+    bases: decode_file accounts for every record and emit_fasta returns."""
+    windows, widths, more = np.array(records, dtype=np.int64).reshape(-1, 3).T
+    lengths = np.maximum(0, windows * 11 + widths + more)
+    codes = np.random.default_rng(seed).integers(0, 4, int(lengths.sum()), dtype=np.uint8)
+    batch = ChunkBatch(codes, np.cumsum(lengths), widths)
+    result = decode_file(batch, codebook)
+    assert len(result.per_chunk) + len(result.set_aside) == len(batch)
+    assert emit_fasta(batch).count(">") == len(batch)
 
 
 def test_decode_file_reports_gap_and_keeps_offsets(codebook):
@@ -1025,24 +1121,42 @@ def test_decode_file_sets_aside_a_record_with_no_header(codebook):
     assert result.content == b"abc" and result.fully_recovered
 
 
-def test_decode_outputs_are_pinned(codebook):
-    """One digest of decode_file's outputs over 24 decodes: random 1,000 B
-    and 64 KiB files under three count and three rate channels, at channel
-    seeds 1 and 2. A change that alters decode outputs on purpose updates
-    the digest and says why."""
-    digest = hashlib.sha256()
+def _pinned_batches(codebook):
+    """24 damaged batches: random 1,000 B and 64 KiB files under three
+    count and three rate channels, at channel seeds 1 and 2."""
     for size in (1000, 1 << 16):
         records = encode_file(FileDescriptor(np.random.default_rng(size).bytes(size), "bin"), codebook)
         for channel in ("count:1", "count:2", "count:3", "rate:1e-3", "rate:1e-2", "rate:0.1"):
             for seed in (1, 2):
-                noisy = corrupt_records(records, ChannelSpec.parse(channel, seed))
-                result = decode_file(noisy, codebook)
-                fields = (result.content, result.extension, result.size_bytes, result.trailer_ok)
-                fields += (result.set_aside, result.unrecoverable_chunks)
-                reports = result.per_chunk
-                fields += (reports.codeword_distances.tobytes(), reports.parity_ok.tobytes())
-                digest.update(repr(fields).encode())
+                yield corrupt_records(records, ChannelSpec.parse(channel, seed))
+
+
+def test_decode_outputs_are_pinned(codebook):
+    """One digest of decode_file's outputs over the 24 decodes of
+    :func:`_pinned_batches`. A change that alters decode outputs on
+    purpose updates the digest and says why."""
+    digest = hashlib.sha256()
+    for noisy in _pinned_batches(codebook):
+        result = decode_file(noisy, codebook)
+        fields = (result.content, result.extension, result.size_bytes, result.trailer_ok)
+        fields += (result.set_aside, result.unrecoverable_chunks)
+        reports = result.per_chunk
+        fields += (reports.codeword_distances.tobytes(), reports.parity_ok.tobytes())
+        digest.update(repr(fields).encode())
     assert digest.hexdigest() == "adecdff3f93d4ea766657d54d89f4994ed7773d0b3662530562d5f3685d84767"
+
+
+def test_emit_outputs_are_pinned(codebook):
+    """One digest of the FASTA text of the 24 batches of
+    :func:`_pinned_batches`, each emitted as it is (ids and indices known)
+    and again after parsing (titled from decoded headers). A change that
+    alters FASTA text on purpose updates the digest and says why."""
+    digest = hashlib.sha256()
+    for noisy in _pinned_batches(codebook):
+        text = emit_fasta(noisy)
+        digest.update(text.encode())
+        digest.update(emit_fasta(parse_fasta(text)).encode())
+    assert digest.hexdigest() == "4574a9881afe90fab63ad6761c4b28937f27a87b1805a11a5b66a61d9521040d"
 
 
 def test_decode_file_empty_input(codebook):
