@@ -64,7 +64,7 @@ from .analysis import (
     synthesis_cost,
 )
 
-__version__ = "0.9.4"
+__version__ = "0.10.0"
 
 __all__ = [
     "AlphabetError",

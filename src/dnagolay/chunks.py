@@ -134,60 +134,35 @@ def _optional(value: int) -> int | None:
     return None if value < 0 else value
 
 
-class _Columns(Sequence):
-    """A read-only sequence kept as columns of read-only arrays. It builds
-    items ``lo`` to ``hi - 1`` (or its end) with ``_items(lo, hi)``, a
-    block at a time when iterated, and equals any sequence of equal items.
-    Its constructor takes the columns in ``__slots__`` order and freezes
-    them."""
-
-    __slots__ = ()
-
-    def __init__(self, *columns: np.ndarray):
-        for name, column in zip(self.__slots__, columns, strict=True):
-            column.flags.writeable = False
-            setattr(self, name, column)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]
-        return next(self._items(i, i + 1))
-
-    def __iter__(self):
-        blocks = range(0, len(self), _RECORD_BLOCK)
-        return chain.from_iterable(self._items(lo, lo + _RECORD_BLOCK) for lo in blocks)
-
-    def __eq__(self, other):
-        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
-            return NotImplemented
-        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-
-
-class ChunkBatch(_Columns):
+class ChunkBatch(Sequence):
     """An immutable sequence of :class:`ChunkRecord`, kept as columns.
 
     ``codes`` holds every record's sequence, payload then header, back
     to back as base codes 0..3; ``ends`` is each record's end offset in
     it and ``header_widths`` its header length. ``file_ids`` and
     ``chunk_indices`` are negative where unknown, as for parsed records.
-    The columns are read-only arrays, taken over rather than copied.
-    Indexing and iteration build ChunkRecords on demand; the codec's
-    functions read the columns, and take any other sequence of records
-    through :meth:`of`.
+    The columns are read-only arrays, taken over rather than copied;
+    :class:`ChunkError` refuses per-record columns of unequal lengths and
+    ends that fall, start below 0 or pass the end of ``codes``. Indexing
+    and iteration build ChunkRecords on demand; the codec's functions read
+    the columns, and take any other sequence of records through :meth:`of`.
     """
 
     __slots__ = ("codes", "ends", "header_widths", "file_ids", "chunk_indices")
 
     def __init__(self, codes, ends, header_widths, file_ids=None, chunk_indices=None):
-        unknown = np.full(len(ends), _UNKNOWN, dtype=np.int64)
-        super().__init__(
-            np.asarray(codes, dtype=np.uint8),
-            np.asarray(ends, dtype=np.int64),
-            np.asarray(header_widths, dtype=np.int64),
-            np.asarray(unknown if file_ids is None else file_ids, dtype=np.int64),
-            np.asarray(unknown if chunk_indices is None else chunk_indices, dtype=np.int64),
-        )
+        codes, ends = np.asarray(codes, dtype=np.uint8), np.asarray(ends, dtype=np.int64)
+        others = [
+            np.asarray(np.full(len(ends), _UNKNOWN) if column is None else column, dtype=np.int64)
+            for column in (header_widths, file_ids, chunk_indices)
+        ]
+        if any(len(column) != len(ends) for column in others):
+            raise ChunkError("per-record columns differ in length")
+        for name, column in zip(self.__slots__, [codes, ends, *others]):
+            column.flags.writeable = False
+            setattr(self, name, column)
+        if len(ends) and (ends[-1] > len(codes) or self.lengths.min() < 0):
+            raise ChunkError(f"record ends must rise from 0 to at most {len(codes)} bases")
 
     @classmethod
     def of(cls, records: Sequence[ChunkRecord]) -> ChunkBatch:
@@ -233,8 +208,19 @@ class ChunkBatch(_Columns):
         return len(self.ends)
 
     def __getitem__(self, index):
-        item = super().__getitem__(index)
-        return ChunkBatch.of(item) if isinstance(index, slice) else item
+        if isinstance(index, slice):
+            return ChunkBatch.of([self[i] for i in range(len(self))[index]])
+        i = range(len(self))[index]
+        return next(self._items(i, i + 1))
+
+    def __iter__(self):
+        blocks = range(0, len(self), _RECORD_BLOCK)
+        return chain.from_iterable(self._items(lo, lo + _RECORD_BLOCK) for lo in blocks)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
 
     def _items(self, lo: int, hi: int):
         """ChunkRecords ``lo`` to ``hi - 1``, from one conversion of each column."""

@@ -43,6 +43,7 @@ from .codebook import (
     verify_subcode_243,
 )
 from .mldecode import decode_file
+from .ternary import weight
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -106,7 +107,7 @@ def _cmd_decode(args) -> int:
     if not result.fully_recovered:
         out = out.with_name(out.name + ".partial")
     out.write_bytes(result.content)
-    if args.report:  # a dict per chunk: built only when asked for
+    if args.report:  # a list of every window's distance: built only when asked for
         _write_report(args.report, result.to_dict())
     corrected = int(result.per_chunk.codeword_distances.sum(dtype=np.int64))
     print(
@@ -189,7 +190,8 @@ def _cmd_construct(args) -> int:
         words = greedy_construct(family, order=args.order, seed=args.seed)
     report = verify_code(words, family)
     if args.out:
-        Path(args.out).write_text("\n".join(words) + "\n", encoding="utf-8")
+        table = "".join(f"{index} {word} {weight(word)}\n" for index, word in enumerate(words))
+        Path(args.out).write_text(table, encoding="utf-8")
         print(f"wrote {len(words)} codewords to {args.out}")
     print(
         f"constructed {len(words)} codeword(s) for {family} "
@@ -322,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     con.add_argument("--family", required=True, help="target n,M,d")
     con.add_argument("--order", choices=("lex", "random"), default="lex")
     con.add_argument("--seed", type=int, default=0)
-    con.add_argument("--out", default=None, help="write codewords here")
+    con.add_argument("--out", default=None, help="write the codeword table here")
     con.set_defaults(func=_cmd_construct)
 
     cap = sub.add_parser("capacity", help="solve the bytes-per-gram equation")

@@ -54,7 +54,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .chunks import _Columns, ChunkBatch, ChunkRecord, split_payload_stream
+from .chunks import ChunkBatch, ChunkRecord, split_payload_stream
 from .codebook import CODE_SIZE, CODEWORD_LENGTH, ByteCodebook
 from .ternary import DNA_ALPHABET
 from .transcode import (
@@ -84,54 +84,30 @@ class DecodedCodeword:
     corrected_window: str
 
 
-@dataclass(slots=True)
-class ChunkDecodeReport:
-    chunk_index: int
-    file_id: int
-    parity_ok: bool
-    codeword_distances: Sequence[int]
-    ambiguities: int
+@dataclass(frozen=True, eq=False)
+class ChunkReports:
+    """The decode report of chunks as read-only columns, from :func:`_reports`:
+    ``chunk_index``, ``file_id``, ``parity_ok`` and ``ambiguities`` (windows
+    tied on both layers) per chunk, and every window's DNA distance back to
+    back, chunk i's ``codeword_distances[window_ends[i - 1]:window_ends[i]]``."""
 
-    def to_dict(self) -> dict:
-        return {
-            "chunk_index": self.chunk_index,
-            "file_id": self.file_id,
-            "parity_ok": self.parity_ok,
-            "codeword_distances": list(self.codeword_distances),
-            "ambiguities": self.ambiguities,
-        }
+    chunk_index: np.ndarray
+    file_id: np.ndarray
+    parity_ok: np.ndarray
+    codeword_distances: np.ndarray
+    window_ends: np.ndarray
+    ambiguities: np.ndarray
 
-
-class ChunkReports(_Columns):
-    """Read-only sequence of :class:`ChunkDecodeReport`, kept as columns.
-
-    ``chunk_index``, ``file_id``, ``parity_ok`` and ``ambiguities`` hold
-    one value per chunk; ``codeword_distances`` holds the DNA distance of
-    every window of all chunks back to back, and ``window_ends`` the end
-    of each chunk's windows in it. Indexing and iteration build reports
-    on demand.
-    """
-
-    __slots__ = (
-        "chunk_index", "file_id", "parity_ok", "codeword_distances", "window_ends", "ambiguities"
-    )
+    def __post_init__(self):
+        for column in vars(self).values():
+            column.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.chunk_index)
 
-    def _items(self, lo: int, hi: int):
-        """Reports ``lo`` to ``hi - 1``, from one conversion of each column."""
-        origin = int(self.window_ends[lo - 1]) if lo else 0
-        ends = (self.window_ends[lo:hi] - origin).tolist()
-        distances = self.codeword_distances[origin : origin + (ends[-1] if ends else 0)].tolist()
-        return map(
-            ChunkDecodeReport,
-            self.chunk_index[lo:hi].tolist(),
-            self.file_id[lo:hi].tolist(),
-            self.parity_ok[lo:hi].tolist(),
-            map(distances.__getitem__, map(slice, [0, *ends], ends)),
-            self.ambiguities[lo:hi].tolist(),
-        )
+    def to_dict(self) -> dict:
+        """Each column as one list, by name."""
+        return {name: column.tolist() for name, column in vars(self).items()}
 
 
 @dataclass
@@ -165,7 +141,7 @@ class DecodeResult:
             "fully_recovered": self.fully_recovered,
             "unrecoverable_chunks": self.unrecoverable_chunks,
             "set_aside": self.set_aside,
-            "chunks": [rep.to_dict() for rep in self.per_chunk],
+            "chunks": self.per_chunk.to_dict(),
         }
 
 
@@ -541,16 +517,28 @@ def _payload_keys(batch: ChunkBatch, order) -> tuple[np.ndarray, np.ndarray]:
     return keys, counts
 
 
+def _reports(words: np.ndarray, window_ends, chunk_index, file_id, parity_ok) -> ChunkReports:
+    """The reports of chunks whose answer words lie back to back, chunk
+    i's ending at ``window_ends[i]``: distances, and the chunk of each
+    ambiguous window, of which there are few, found in the ends."""
+    distances = np.right_shift(words, _SHIFT, out=np.empty(len(words), np.uint8), casting="unsafe")
+    chunk_of = np.searchsorted(window_ends, np.flatnonzero(words & _AMBIGUOUS), side="right")
+    ambiguities = np.bincount(chunk_of, minlength=len(window_ends))
+    return ChunkReports(chunk_index, file_id, parity_ok, distances, window_ends, ambiguities)
+
+
 def decode_chunk(
     record: ChunkRecord,
     codebook: ByteCodebook,
     prev_base: str | None = DEFAULT_PREV_BASE,
-) -> tuple[bytes, ChunkDecodeReport, str]:
+) -> tuple[bytes, ChunkReports, str]:
     """Decode one chunk: literal header decode plus ML payload decode.
+    Returns (bytes, a one-chunk report, last corrected base).
 
     ``prev_base`` is the inherited payload context, one base of either
     case; pass None to search all four contexts and keep the one with
-    the lowest total distance.
+    the lowest total distance. The report's chunk index is the record's
+    own, if known, else its header's.
     Header damage never aborts the decode: the payload is still
     recovered best-effort and the chunk is flagged via ``parity_ok``.
     Raises :class:`DecodeError` for a payload that is not a positive
@@ -559,19 +547,14 @@ def decode_chunk(
     batch = ChunkBatch.of([record])
     if not batch.whole_windows[0]:
         raise DecodeError(f"a payload is not a positive multiple of {CODEWORD_LENGTH} bases")
-    keys, _ = _payload_keys(batch, slice(None))
+    keys, counts = _payload_keys(batch, slice(None))
     file_ids, indices, parity_ok = batch.decoded_headers()
     images = candidate_images(codebook)
     search = prev_base is None
-    prev = _best_contexts(keys, [len(keys)], images) if search else [_base_code(prev_base)]
+    prev = _best_contexts(keys, counts, images) if search else [_base_code(prev_base)]
     words, last = _decode_stream(keys, [0], prev, images)
-    report = ChunkDecodeReport(
-        chunk_index=int(indices[0]) if record.chunk_index is None else record.chunk_index,
-        file_id=int(file_ids[0]),
-        parity_ok=bool(parity_ok[0]),
-        codeword_distances=(words >> _SHIFT).tolist(),
-        ambiguities=int(np.count_nonzero(words & _AMBIGUOUS)),
-    )
+    indices = np.where(batch.chunk_indices < 0, indices, batch.chunk_indices)
+    report = _reports(words, counts, indices, file_ids, parity_ok)
     return words.astype(np.uint8).tobytes(), report, DNA_ALPHABET[last]
 
 
@@ -622,10 +605,8 @@ def decode_file(
         heads = np.concatenate([keys[lo:hi] for lo, hi in zip(firsts[lost], ends[runs[lost]])])
         prev_codes[lost] = _best_contexts(heads, counts[runs[lost]], images)
     words, _ = _decode_stream(keys, firsts, prev_codes, images)
+    reports = _reports(words, ends, present, fid_arr[order], parity_arr[order])
     values = words.astype(np.uint8)
-    distances = np.right_shift(words, _SHIFT, out=np.empty_like(values), casting="unsafe")
-    # the chunk of each ambiguous window, of which there are few
-    chunk_of = np.searchsorted(ends, np.flatnonzero(words & _AMBIGUOUS), side="right")
     del words
 
     # missing chunks stand in as zero bytes so that later content keeps its offsets
@@ -635,14 +616,6 @@ def decode_file(
     for gap, lo, hi in zip(gaps.tolist(), firsts.tolist(), [*firsts[1:].tolist(), len(keys)]):
         pieces += [placeholder * gap, values[lo:hi].tobytes()]
     stream_bytes = b"".join(pieces)
-    reports = ChunkReports(
-        present,
-        fid_arr[order],
-        parity_arr[order],
-        distances,
-        ends,
-        np.bincount(chunk_of, minlength=len(ends)),
-    )
 
     content, declared_size, extension, trailer_ok = split_payload_stream(stream_bytes)
     return DecodeResult(

@@ -78,7 +78,7 @@ def test_criterion_02_round_trip_hundred_files(codebook):
         result = decode_file(parse_fasta(emit_fasta(encode_file(fd, codebook))), codebook)
         assert result.content == content, f"file {i} (size {size}) not identical"
         assert result.fully_recovered
-        assert all(rep.parity_ok for rep in result.per_chunk)
+        assert result.per_chunk.parity_ok.all()
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0
     report(2, "round trip 100 files", ok, f"{elapsed:.1f} s for 100 files")

@@ -324,7 +324,7 @@ def test_decode_sets_aside_a_record_with_a_short_payload(codebook):
     assert parsed.whole_windows.tolist() == [True, True, False]
     result = decode_file(parsed, codebook)
     assert result.set_aside == [2]
-    assert [rep.chunk_index for rep in result.per_chunk] == [0, 1]
+    assert result.per_chunk.chunk_index.tolist() == [0, 1]
     assert result.content == bytes(18) and not result.trailer_ok
 
 
@@ -356,7 +356,7 @@ def test_records_of_three_lengths_share_one_header_width(codebook):
     assert parsed.payload_lengths.tolist() == [99, 88, 77]
     result = decode_file(parsed, codebook)
     assert len(result.per_chunk) + len(result.set_aside) == 3
-    assert result.per_chunk[0].chunk_index == 0 and result.per_chunk[0].parity_ok
+    assert result.per_chunk.chunk_index[0] == 0 and result.per_chunk.parity_ok[0]
     assert result.content[:9] == bytes(9)
 
 
@@ -409,7 +409,7 @@ def test_fasta_mu_inference_lone_last_record(codebook):
     parsed = parse_fasta(emit_fasta(records[-1:]))
     assert parsed[0].sequence == records[-1].sequence and parsed[0].mu == 3
     result = decode_file(parsed, codebook)
-    assert result.per_chunk[0].chunk_index == 11 and result.per_chunk[0].parity_ok
+    assert result.per_chunk.chunk_index[0] == 11 and result.per_chunk.parity_ok[0]
     assert result.unrecoverable_chunks == list(range(11))
     assert (result.size_bytes, result.trailer_ok) == (100, True)
     assert result.content[-1:] == fd.content[-1:]

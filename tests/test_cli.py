@@ -328,6 +328,28 @@ def test_construct_family(tmp_path, capsys):
     assert len(out_file.read_text().splitlines()) == 9
 
 
+def test_constructed_table_encodes_and_decodes(tmp_path, sample_file, capsys):
+    """construct --out writes one <index> <codeword> <weight> line per
+    word, which --codebook loads: a file round-trips through it. A table
+    of fewer than 256 words still fails to load."""
+    table = tmp_path / "lexicode.codebook"
+    assert run(["construct", "--family", "11,256,4", "--out", str(table)]) == 0
+    lines = table.read_text().splitlines()
+    assert len(lines) == 256 and lines[0] == "0 00000000000 0"
+    fasta, restored = tmp_path / "out.fasta", tmp_path / "back.txt"
+    book = ["--codebook", str(table)]
+    assert run(["encode", "--in", str(sample_file), "--out", str(fasta), *book]) == 0
+    assert run(["decode", "--in", str(fasta), "--out", str(restored), *book]) == 0
+    assert restored.read_bytes() == sample_file.read_bytes()
+    capsys.readouterr()
+    run(["verify-code", "--family", "11,256,4", *book])  # exit 1: no distance-6 subset of 243
+    assert "code (11,256,4)_3: size=256, d_min=4, OK" in capsys.readouterr().out
+    short = tmp_path / "short.codebook"
+    assert run(["construct", "--family", "11,200,4", "--out", str(short)]) == 0
+    assert run(["verify-code", "--codebook", str(short)]) == 1
+    assert "fewer than 256 byte values covered" in capsys.readouterr().err
+
+
 def test_construct_reaching_target_exits_zero(capsys):
     assert run(["construct", "--family", "2,3,2"]) == 0
     assert "target size 3: reached" in capsys.readouterr().out

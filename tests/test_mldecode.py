@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import random
@@ -10,6 +11,7 @@ from dnagolay import chunks, mldecode
 from dnagolay.analysis import ChannelSpec, corrupt_records
 from dnagolay.chunks import (
     ChunkBatch,
+    ChunkError,
     ChunkRecord,
     FileDescriptor,
     emit_fasta,
@@ -567,7 +569,10 @@ def test_context_base_is_read_like_trits_to_dna(codebook):
     record = encode_file(FileDescriptor(content=b"hello", extension=""), codebook)[0]
     window = record.payload_dna[:11]
     assert decode_codeword_ml(window, "c", codebook) == decode_codeword_ml(window, "C", codebook)
-    assert decode_chunk(record, codebook, "c") == decode_chunk(record, codebook, "C")
+    (lower, lower_report, lower_last), (upper, upper_report, upper_last) = (
+        decode_chunk(record, codebook, base) for base in "cC"
+    )
+    assert (lower, lower_report.to_dict(), lower_last) == (upper, upper_report.to_dict(), upper_last)
     for bad in ("N", "AC", ""):
         with pytest.raises(AlphabetError):
             decode_codeword_ml(window, bad, codebook)
@@ -726,7 +731,7 @@ def test_decode_file_round_trip(codebook):
     assert result.size_bytes == len(fd.content)
     assert result.file_id == 2
     assert result.fully_recovered
-    assert all(rep.parity_ok for rep in result.per_chunk)
+    assert result.per_chunk.parity_ok.all()
 
 
 def test_decode_file_accepts_shuffled_records(codebook):
@@ -737,7 +742,7 @@ def test_decode_file_accepts_shuffled_records(codebook):
     rng.shuffle(shuffled)
     result = decode_file(shuffled, codebook)
     assert result.content == fd.content
-    assert [rep.chunk_index for rep in result.per_chunk] == list(range(len(records)))
+    assert result.per_chunk.chunk_index.tolist() == list(range(len(records)))
 
 
 def test_decode_file_verbatim_duplicates_collapse(codebook):
@@ -885,6 +890,51 @@ def test_decode_is_total_over_raw_columns(codebook, records, seed):
     assert emit_fasta(batch).count(">") == len(batch)
 
 
+def test_batch_refuses_ends_its_codes_cannot_hold():
+    """Ends past the codes, ends that fall or start below 0 and
+    per-record columns of unequal lengths are refused at construction; a
+    batch of no bases whose records are empty is not."""
+    for codes, ends, widths in (
+        (np.zeros(5, np.uint8), [26], [4]),
+        (np.zeros(30, np.uint8), [26, 15], [4, 4]),
+        (np.zeros(30, np.uint8), [-1, 15], [4, 4]),
+        (np.zeros(30, np.uint8), [15, 30], [4]),
+    ):
+        with pytest.raises(ChunkError):
+            ChunkBatch(codes, ends, widths)
+    with pytest.raises(ChunkError):
+        ChunkBatch(np.zeros(30, np.uint8), [15, 30], [4, 4], file_ids=[0])
+    assert len(ChunkBatch(np.empty(0, np.uint8), [0, 0], [3, 3])) == 2
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(-3, 3),
+    st.lists(st.tuples(st.integers(-20, 120), st.integers(-5, 50)), max_size=8),
+    st.integers(-5, 5),
+    st.integers(0, 2**32 - 1),
+)
+def test_batches_of_any_ends_are_refused_or_decode(codebook, start, records, extra, seed):
+    """Any integer ends, rising or not, over codes of any length, with any
+    header widths: ChunkBatch refuses exactly the ends that fall, start
+    below 0 or pass the codes, with ChunkError; of any other batch
+    decode_file accounts for every record and emit_fasta returns."""
+    steps, widths = np.array(records, dtype=np.int64).reshape(-1, 2).T
+    ends = start + np.cumsum(steps)
+    size = max(0, int(ends.max(initial=0)) + extra)
+    codes = np.random.default_rng(seed).integers(0, 4, size, dtype=np.uint8)
+    bad = len(ends) and (ends[0] < 0 or ends[-1] > size or (np.diff(ends) < 0).any())
+    try:
+        batch = ChunkBatch(codes, ends, widths)
+    except ChunkError:
+        assert bad
+        return
+    assert not bad
+    result = decode_file(batch, codebook)
+    assert len(result.per_chunk) + len(result.set_aside) == len(batch)
+    assert emit_fasta(batch).count(">") == len(batch)
+
+
 def test_decode_file_reports_gap_and_keeps_offsets(codebook):
     fd = FileDescriptor(content=bytes(range(120)), extension="bin")
     records = encode_file(fd, codebook)
@@ -903,8 +953,8 @@ def _chunk_by_chunk(records, lost, codebook):
     """The reference for a gapped decode: the chunks one by one, each
     after its predecessor's last corrected base, all four contexts
     searched after a gap, a full chunk of zeros for each lost one;
-    (content, reports)."""
-    expected, reports, ctx = bytearray(), [], "A"
+    (content, the report columns of the chunks decoded, as lists)."""
+    expected, reports, ctx = bytearray(), {}, "A"
     for rec in records:
         if rec.chunk_index in lost:
             expected += bytes(len(records[0].payload_dna) // 11)
@@ -912,7 +962,9 @@ def _chunk_by_chunk(records, lost, codebook):
             continue
         data, report, ctx = decode_chunk(rec, codebook, ctx)
         expected += data
-        reports.append(report.to_dict())
+        for name, values in report.to_dict().items():
+            reports.setdefault(name, []).extend(values)
+    reports["window_ends"] = np.cumsum(reports["window_ends"]).tolist()  # one chunk's end each
     content, size, _, _ = split_payload_stream(bytes(expected))
     return content[:size], reports
 
@@ -932,8 +984,8 @@ def test_decode_file_with_gaps_matches_chunk_by_chunk_reference(codebook):
     content, reports = _chunk_by_chunk(records, lost, codebook)
     assert result.unrecoverable_chunks == sorted(lost)
     assert result.content == content
-    assert [rep.to_dict() for rep in result.per_chunk] == reports
-    assert any(rep["ambiguities"] or any(rep["codeword_distances"]) for rep in reports)
+    assert result.per_chunk.to_dict() == reports
+    assert any(reports["ambiguities"]) or any(reports["codeword_distances"])
 
 
 @pytest.mark.parametrize("channel", ["count:1", "count:2", "count:3"])
@@ -951,7 +1003,7 @@ def test_decode_file_with_gaps_matches_reference_at_every_kind_of_break(codebook
     content, reports = _chunk_by_chunk(records, lost, codebook)
     assert result.unrecoverable_chunks == sorted(lost)
     assert result.content == content
-    assert [rep.to_dict() for rep in result.per_chunk] == reports
+    assert result.per_chunk.to_dict() == reports
 
 
 def test_decode_file_break_after_a_window_the_table_corrects_in_its_last_base(codebook):
@@ -974,8 +1026,10 @@ def test_decode_file_break_after_a_window_the_table_corrects_in_its_last_base(co
     result = decode_file(records[:3] + records[4:], codebook)
     expected, reports = _chunk_by_chunk(records, {3}, codebook)
     assert result.content == expected == content[:27] + bytes(9) + content[36:]
-    assert [rep.to_dict() for rep in result.per_chunk] == reports
-    assert reports[2]["codeword_distances"][-1] == 1 and reports[3]["codeword_distances"][0] == 3
+    assert result.per_chunk.to_dict() == reports
+    # the last window of chunk 2, the third chunk decoded, and the first after the gap
+    after = reports["window_ends"][2]
+    assert reports["codeword_distances"][after - 1 : after + 1] == [1, 3]
 
 
 def test_decode_file_makes_at_most_two_stream_calls(codebook, monkeypatch):
@@ -1046,7 +1100,6 @@ def test_payload_keys_match_per_record_window_keys(codebook, seed):
 
 def _outcome(records, codebook):
     result = decode_file(records, codebook)
-    reports = [rep.to_dict() for rep in result.per_chunk]
     return (
         result.content,
         result.extension,
@@ -1055,8 +1108,7 @@ def _outcome(records, codebook):
         result.trailer_ok,
         result.fully_recovered,
         result.unrecoverable_chunks,
-        reports,
-        [rep["ambiguities"] for rep in reports],
+        result.per_chunk.to_dict(),
     )
 
 
@@ -1084,18 +1136,22 @@ def test_per_chunk_reports_are_read_only_columns(codebook):
     )
     result = decode_file(records, codebook)
     reports = result.per_chunk
-    assert len(reports) == len(records) == len(list(reports))
-    assert reports[-1].chunk_index == len(records) - 1
-    assert reports[1:3] == [reports[1], reports[2]]
-    assert list(reports[0].codeword_distances) == [1] * 9
+    assert len(reports) == len(records) == len(reports.to_dict()["chunk_index"])
+    assert reports.chunk_index[-1] == len(records) - 1
+    assert reports.codeword_distances[: reports.window_ends[0]].tolist() == [1] * 9
     assert int(reports.codeword_distances.sum()) == sum(len(r.payload_dna) for r in records) // 11
     assert result.fully_recovered
+    for name, column in reports.to_dict().items():
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(reports, name)[0] = column[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        reports.parity_ok = reports.parity_ok
 
 
 def test_blocked_decode_and_iteration_match_one_block(codebook, monkeypatch):
-    """Window keys, round-one lookups and the items of batches and
-    reports, built in blocks of a few records or windows, come out as in
-    one block; iterating builds the items that indexing does."""
+    """Window keys, round-one lookups and the items of batches, built in
+    blocks of a few records or windows, come out as in one block;
+    iterating builds the items that indexing does."""
     fd = FileDescriptor(content=bytes(random.Random(5).randrange(256) for _ in range(400)))
     records = corrupt_records(
         encode_file(fd, codebook), ChannelSpec.parse("count:1"), np.random.default_rng(6)
@@ -1106,8 +1162,7 @@ def test_blocked_decode_and_iteration_match_one_block(codebook, monkeypatch):
     monkeypatch.setattr(chunks, "_RECORD_BLOCK", 4)
     monkeypatch.setattr(mldecode, "_LOOKUP_BLOCK", 7)
     assert [_outcome(batch, codebook) for batch in (parsed, shuffled)] == expected
-    reports = decode_file(parsed, codebook).per_chunk
-    for items in (records, parsed, reports):
+    for items in (records, parsed):
         assert len(items) > 3 * 4
         assert list(items) == [items[i] for i in range(len(items))]
 
@@ -1172,14 +1227,17 @@ def test_decode_result_report_is_json_ready(codebook):
     payload = json.dumps(result.to_dict())
     parsed = json.loads(payload)
     assert parsed["fully_recovered"] is True
-    assert parsed["chunks"][0]["parity_ok"] is True
+    assert parsed["chunks"]["parity_ok"][0] is True
 
     fd = FileDescriptor(content=bytes(range(60)), extension="bin")
     noisy = corrupt_records(
         encode_file(fd, codebook), ChannelSpec.parse("count:2"), np.random.default_rng(3)
     )
     parsed = json.loads(json.dumps(decode_file(noisy, codebook).to_dict()))
-    assert any(any(chunk["codeword_distances"]) for chunk in parsed["chunks"])
+    report = parsed["chunks"]
+    assert any(report["codeword_distances"])
+    assert len(report["codeword_distances"]) == report["window_ends"][-1]
+    assert all(len(report[name]) == len(noisy) for name in ("chunk_index", "ambiguities"))
 
 
 def test_stream_decode_matches_per_window_reference(codebook):
